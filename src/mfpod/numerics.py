@@ -1,4 +1,4 @@
-"""Dense-matrix, FFT, SVD, and interpolation primitives.
+"""Grid, SVD, and interpolation primitives.
 
 All grids are square, equispaced, and periodic: n points per direction on
 [-L, L), node i at -L + i * (2L/n), with node n wrapping to node 0.
@@ -43,38 +43,15 @@ class Grid2D:
         x = self.coords()
         return np.meshgrid(x, x, indexing="ij")
 
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers in DFT ordering; mode j carries k = pi*j/L."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+    def half_wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Angular wavenumbers (kx, ky) of the rfft2 half spectrum.
 
-    def wavenumber_meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        k = self.wavenumbers()
-        return np.meshgrid(k, k, indexing="ij")
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """2-D DFT coefficients of a field on ``grid``, in standard fft2 ordering."""
-
-    grid: Grid2D
-    coef: np.ndarray
-
-    def __post_init__(self):
-        if self.coef.shape != (self.grid.n, self.grid.n):
-            raise ShapeError(
-                f"spectral coefficients shape {self.coef.shape} does not match "
-                f"grid ({self.grid.n}, {self.grid.n})"
-            )
-
-    def is_real_field(self, rtol: float = 1e-12) -> bool:
-        """True when coefficients have the conjugate symmetry of a real field."""
-        n = self.grid.n
-        neg = (-np.arange(n)) % n
-        mirrored = np.conj(self.coef[np.ix_(neg, neg)])
-        scale = np.abs(self.coef).max()
-        if scale == 0.0:
-            return True
-        return bool(np.abs(self.coef - mirrored).max() <= rtol * scale)
+        kx has shape (n, 1) in DFT ordering, ky shape (1, n//2 + 1) from 0
+        to the Nyquist wavenumber; mode j carries k = pi*j/L.
+        """
+        kx = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+        ky = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
+        return kx[:, None], ky[None, :]
 
 
 def require_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -87,28 +64,8 @@ def require_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def field_to_vec(field: np.ndarray) -> np.ndarray:
-    """Flatten an (n, n) field column-major: flat index = ix + n*iy."""
-    return np.ravel(field, order="F")
-
-
 def vec_to_field(vec: np.ndarray, n: int) -> np.ndarray:
     return np.reshape(vec, (n, n), order="F")
-
-
-def fft2(field: np.ndarray, grid: Grid2D) -> SpectralField:
-    """Forward unnormalized 2-D DFT of a real field on ``grid``."""
-    field = np.asarray(field, dtype=np.float64)
-    if field.ndim != 2 or field.shape[0] != field.shape[1]:
-        raise ShapeError(f"field must be square 2-D, got shape {field.shape}")
-    if field.shape[0] != grid.n:
-        raise ShapeError(f"field size {field.shape[0]} does not match grid n={grid.n}")
-    return SpectralField(grid, np.fft.fft2(field))
-
-
-def ifft2(spectral: SpectralField) -> np.ndarray:
-    """Inverse 2-D DFT, returning the real part."""
-    return np.fft.ifft2(spectral.coef).real
 
 
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

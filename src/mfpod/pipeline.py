@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     StorageError,
     ValidationError,
 )
-from .lifting import LiftSpec, lift, lift_project
+from .lifting import LiftSpec, lift, lift_project, reduced_stencil
 from .mflstm import LstmModel, lstm_from_bytes, lstm_to_bytes, predict, train
 from .numerics import Grid2D
 from .pod import CoefficientSeries, PodBasis, PodRule, build_basis, project, reconstruct
@@ -63,12 +63,17 @@ class Provenance:
 
 @dataclass
 class SurrogateModel:
-    """Deployable bundle: reduced basis, lift recipe, trained network."""
+    """Deployable bundle: reduced basis, lift recipe, trained network.
+
+    ``stencil`` is the ``reduced_stencil`` of the basis and the lift, built
+    when not given; it is never serialized, because it follows from both.
+    """
 
     basis: PodBasis
     lift_spec: LiftSpec
     lstm: LstmModel
     provenance: Provenance
+    stencil: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lstm.layout.n_coef != self.basis.n_pod:
@@ -78,6 +83,8 @@ class SurrogateModel:
             )
         if self.lift_spec.dst_grid != self.basis.grid:
             raise ValidationError("lift destination grid does not match the basis grid")
+        if self.stencil is None:
+            self.stencil = reduced_stencil(self.basis, self.lift_spec)
 
 
 @dataclass
@@ -178,7 +185,8 @@ def offline_train(
         dst_times=hf.times,
     )
     coef_hf = project(basis, hf)
-    coef_lf = lift_project(lf, spec, basis)
+    stencil = reduced_stencil(basis, spec)
+    coef_lf = lift_project(lf, spec, basis, stencil=stencil)
     lstm = train(coef_lf, coef_hf, train_cfg, val_every=val_every)
     provenance = Provenance(
         problem=problem,
@@ -188,7 +196,8 @@ def offline_train(
         param_lo=float(hf.params[:, 0].min()),
         param_hi=float(hf.params[:, 0].max()),
     )
-    return SurrogateModel(basis=basis, lift_spec=spec, lstm=lstm, provenance=provenance)
+    return SurrogateModel(basis=basis, lift_spec=spec, lstm=lstm, provenance=provenance,
+                          stencil=stencil)
 
 
 def _hf_step(model: SurrogateModel) -> float:
@@ -246,7 +255,7 @@ def online_predict_detailed(
         dst_grid=model.lift_spec.dst_grid,
         dst_times=times,
     )
-    coef_lf = lift_project(lf_set, spec, model.basis)
+    coef_lf = lift_project(lf_set, spec, model.basis, stencil=model.stencil)
     coef_mf = predict(model.lstm, coef_lf)
     prediction = reconstruct(model.basis, coef_mf)
     return OnlinePrediction(

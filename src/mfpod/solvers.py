@@ -11,13 +11,17 @@ Two benchmark problems on periodic square domains:
       w_t + mu (psi_x w_y - psi_y w_x) = d laplace(w),   laplace(psi) = w
   on [-10, 10]^2 with a stretched-Gaussian initial vorticity.
 
-Both solvers keep the state in spectral space, apply diffusion exactly via
-wavenumber multiplication, evaluate nonlinear terms pseudo-spectrally in
-physical space, and advance with classical fixed-step RK4. Snapshots are
-stored at every step, so a run over [0, T] yields round(T/dt) + 1 columns.
-No dealiasing filter is applied by default (``dealias`` enables a 2/3-rule
-mask). Trajectories are deterministic: identical configs give bit-identical
-output.
+Both solvers hold the state as one stacked real-to-complex half spectrum of
+shape (n_fields, n, n//2 + 1) (``rfft2`` over the two grid axes), apply
+diffusion exactly by wavenumber multiplication, evaluate nonlinear terms
+pseudo-spectrally in physical space, and advance with classical fixed-step
+RK4 through one shared loop, which also stores every step and stops a
+diverging run. First derivatives multiply by i*k with the Nyquist wavenumber
+set to 0: the Nyquist mode of a real field has no real odd derivative, and
+this is what taking the real part of a full complex transform gives. No
+dealiasing filter is applied. Snapshots are stored at every step, so a run
+over [0, T] yields round(T/dt) + 1 columns. Trajectories are deterministic:
+identical configs give bit-identical output.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, ValidationError
-from .numerics import Grid2D, field_to_vec
+from .numerics import Grid2D
 from .snapshots import ParameterGrid, SnapshotSet
 
 
@@ -102,13 +106,6 @@ def _times(T: float, dt: float) -> np.ndarray:
     return dt * np.arange(steps + 1)
 
 
-def _dealias_mask(n: int) -> np.ndarray:
-    cutoff = n // 3
-    modes = np.abs(np.fft.fftfreq(n) * n)
-    keep = modes <= cutoff
-    return np.outer(keep, keep)
-
-
 def rd_initial(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     """Spiral-seed initial condition, identical for both components.
 
@@ -129,31 +126,73 @@ def sw_initial(grid: Grid2D) -> np.ndarray:
     return np.exp(-2.0 * X**2 - Y**2 / 20.0)
 
 
+def _derivative_multipliers(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectrum multipliers i*kx, i*ky of d/dx, d/dy, Nyquist set to 0.
+
+    The Nyquist mode of a real field has no odd derivative that is real, so
+    it is dropped, as taking the real part of a full complex transform does.
+    """
+    kx, ky = grid.half_wavenumbers()
+    kx[grid.n // 2, 0] = 0.0
+    ky[0, grid.n // 2] = 0.0
+    return 1j * kx, 1j * ky
+
+
+def _laplacian_symbols(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """k^2 = kx^2 + ky^2 on the half spectrum and its inverse, 0 at k = 0."""
+    kx, ky = grid.half_wavenumbers()
+    k2 = kx**2 + ky**2
+    inv_k2 = np.zeros_like(k2)
+    nonzero = k2 > 0
+    inv_k2[nonzero] = 1.0 / k2[nonzero]
+    return k2, inv_k2
+
+
 def solve_poisson(omega: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Solve laplace(psi) = omega spectrally with a zero-mean gauge for psi."""
-    KX, KY = grid.wavenumber_meshes()
-    k2 = KX**2 + KY**2
-    w_hat = np.fft.fft2(omega)
-    psi_hat = np.zeros_like(w_hat)
-    nonzero = k2 > 0
-    psi_hat[nonzero] = -w_hat[nonzero] / k2[nonzero]
-    return np.fft.ifft2(psi_hat).real
+    _, inv_k2 = _laplacian_symbols(grid)
+    return np.fft.irfft2(-np.fft.rfft2(omega) * inv_k2, s=(grid.n, grid.n))
 
 
-def _check_finite(state_hats: tuple[np.ndarray, ...], step: int, t: float) -> None:
-    for hat in state_hats:
-        if not np.all(np.isfinite(hat)):
-            raise InstabilityError(
-                f"solver produced non-finite values at step {step} (t = {t:g}); "
-                f"reduce dt or resolution demands"
-            )
+def _integrate(state_hat: np.ndarray, rhs, times: np.ndarray, dt: float) -> np.ndarray:
+    """Classical RK4 on a stacked half-spectrum state; one column per step.
+
+    ``state_hat`` has shape (n_fields, n, n//2+1). ``rhs(hat)`` returns
+    d(hat)/dt and the physical fields of ``hat``, so the k1 stage of a step
+    also yields the snapshot of the state it starts from. Column j stacks
+    the flattened fields at ``times[j]``.
+    """
+    n_fields, n = state_hat.shape[:2]
+    data = np.empty((n_fields * n * n, times.size), dtype=np.float64, order="F")
+    # column-major view: data[ix + n*iy + n*n*f, j] is columns[ix, iy, f, j]
+    columns = data.reshape((n, n, n_fields, times.size), order="F")
+    # overflow in a diverging run is reported as InstabilityError, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1, fields = rhs(state_hat)
+        columns[..., 0] = np.moveaxis(fields, 0, -1)
+        for step in range(1, times.size):
+            k2, _ = rhs(state_hat + 0.5 * dt * k1)
+            k3, _ = rhs(state_hat + 0.5 * dt * k2)
+            k4, _ = rhs(state_hat + dt * k3)
+            state_hat = state_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _check_finite(state_hat, step, times[step])
+            k1, fields = rhs(state_hat)
+            columns[..., step] = np.moveaxis(fields, 0, -1)
+    return data
+
+
+def _check_finite(state_hat: np.ndarray, step: int, t: float) -> None:
+    if not np.all(np.isfinite(state_hat)):
+        raise InstabilityError(
+            f"solver produced non-finite values at step {step} (t = {t:g}); "
+            f"reduce dt or resolution demands"
+        )
 
 
 def solve_rd(
     cfg: RdConfig,
     ic: tuple[np.ndarray, np.ndarray] | None = None,
     include_reaction: bool = True,
-    dealias: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the reaction-diffusion system; snapshots at every step.
 
@@ -162,56 +201,28 @@ def solve_rd(
     ``include_reaction`` are test hooks (defaults reproduce the benchmark).
     """
     grid = Grid2D(cfg.n, cfg.L)
-    KX, KY = grid.wavenumber_meshes()
-    k2 = KX**2 + KY**2
-    mask = _dealias_mask(cfg.n) if dealias else None
+    k2, _ = _laplacian_symbols(grid)
+    diffusion = cfg.d * k2
+    n = cfg.n
 
     u0, v0 = rd_initial(grid) if ic is None else ic
-    u_hat = np.fft.fft2(np.asarray(u0, dtype=np.float64))
-    v_hat = np.fft.fft2(np.asarray(v0, dtype=np.float64))
+    state_hat = np.fft.rfft2(np.stack((u0, v0)).astype(np.float64))
 
-    def rhs(uh, vh):
-        if include_reaction:
-            u = np.fft.ifft2(uh).real
-            v = np.fft.ifft2(vh).real
-            a2 = u * u + v * v
-            ru = np.fft.fft2((1.0 - a2) * u + cfg.mu * a2 * v)
-            rv = np.fft.fft2(-cfg.mu * a2 * u + (1.0 - a2) * v)
-            if mask is not None:
-                ru *= mask
-                rv *= mask
-        else:
-            ru = rv = 0.0
-        return ru - cfg.d * k2 * uh, rv - cfg.d * k2 * vh
+    def rhs(hat):
+        fields = np.fft.irfft2(hat, s=(n, n))
+        if not include_reaction:
+            return -diffusion * hat, fields
+        u, v = fields
+        a2 = u * u + v * v
+        growth, rotation = 1.0 - a2, cfg.mu * a2
+        reaction = np.fft.rfft2(np.stack((growth * u + rotation * v, growth * v - rotation * u)))
+        return reaction - diffusion * hat, fields
 
     times = _times(cfg.T, cfg.dt)
-    data = np.empty((2 * cfg.n**2, times.size), dtype=np.float64, order="F")
-
-    def store(col, uh, vh):
-        data[: cfg.n**2, col] = field_to_vec(np.fft.ifft2(uh).real)
-        data[cfg.n**2 :, col] = field_to_vec(np.fft.ifft2(vh).real)
-
-    store(0, u_hat, v_hat)
-    dt = cfg.dt
-    # overflow in a diverging run is reported as InstabilityError, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, times.size):
-            k1u, k1v = rhs(u_hat, v_hat)
-            k2u, k2v = rhs(u_hat + 0.5 * dt * k1u, v_hat + 0.5 * dt * k1v)
-            k3u, k3v = rhs(u_hat + 0.5 * dt * k2u, v_hat + 0.5 * dt * k2v)
-            k4u, k4v = rhs(u_hat + dt * k3u, v_hat + dt * k3v)
-            u_hat = u_hat + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v_hat = v_hat + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            _check_finite((u_hat, v_hat), step, times[step])
-            store(step, u_hat, v_hat)
-    return times, data
+    return times, _integrate(state_hat, rhs, times, cfg.dt)
 
 
-def solve_sw(
-    cfg: SwConfig,
-    ic: np.ndarray | None = None,
-    dealias: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_sw(cfg: SwConfig, ic: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the vorticity transport problem; snapshots at every step.
 
     Each RK4 stage re-solves the Poisson problem for the streamfunction
@@ -220,41 +231,24 @@ def solve_sw(
     (n^2, n_steps+1) holding flattened vorticity columns.
     """
     grid = Grid2D(cfg.n, cfg.L)
-    KX, KY = grid.wavenumber_meshes()
-    k2 = KX**2 + KY**2
-    inv_k2 = np.zeros_like(k2)
-    nonzero = k2 > 0
-    inv_k2[nonzero] = 1.0 / k2[nonzero]
-    mask = _dealias_mask(cfg.n) if dealias else None
+    k2, inv_k2 = _laplacian_symbols(grid)
+    diffusion = cfg.d * k2
+    ikx, iky = _derivative_multipliers(grid)
+    # psi_x, psi_y, w_x, w_y and w itself from w_hat, with psi_hat = -w_hat / k^2
+    multipliers = np.stack(np.broadcast_arrays(
+        -ikx * inv_k2, -iky * inv_k2, ikx, iky, np.ones_like(k2)))
+    n = cfg.n
 
-    w0 = sw_initial(grid) if ic is None else np.asarray(ic, dtype=np.float64)
-    w_hat = np.fft.fft2(w0)
+    w0 = sw_initial(grid) if ic is None else ic
+    state_hat = np.fft.rfft2(np.asarray(w0, dtype=np.float64))[None]
 
-    def rhs(wh):
-        psi_hat = -wh * inv_k2
-        psi_x = np.fft.ifft2(1j * KX * psi_hat).real
-        psi_y = np.fft.ifft2(1j * KY * psi_hat).real
-        w_x = np.fft.ifft2(1j * KX * wh).real
-        w_y = np.fft.ifft2(1j * KY * wh).real
-        bracket = np.fft.fft2(psi_x * w_y - psi_y * w_x)
-        if mask is not None:
-            bracket *= mask
-        return -cfg.mu * bracket - cfg.d * k2 * wh
+    def rhs(hat):
+        psi_x, psi_y, w_x, w_y, w = np.fft.irfft2(multipliers * hat, s=(n, n))
+        bracket = np.fft.rfft2(psi_x * w_y - psi_y * w_x)
+        return -cfg.mu * bracket - diffusion * hat, w[None]
 
     times = _times(cfg.T, cfg.dt)
-    data = np.empty((cfg.n**2, times.size), dtype=np.float64, order="F")
-    data[:, 0] = field_to_vec(np.fft.ifft2(w_hat).real)
-    dt = cfg.dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, times.size):
-            k1 = rhs(w_hat)
-            k2_ = rhs(w_hat + 0.5 * dt * k1)
-            k3 = rhs(w_hat + 0.5 * dt * k2_)
-            k4 = rhs(w_hat + dt * k3)
-            w_hat = w_hat + (dt / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
-            _check_finite((w_hat,), step, times[step])
-            data[:, step] = field_to_vec(np.fft.ifft2(w_hat).real)
-    return times, data
+    return times, _integrate(state_hat, rhs, times, cfg.dt)
 
 
 _RD_FIELDS = ("u", "v")

@@ -4,12 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mfpod.errors import DataError, ExtrapolationError, ShapeError, ValidationError
+from mfpod.errors import DataError, ExtrapolationError, ValidationError
 from mfpod.numerics import (
     Grid2D,
-    SpectralField,
-    fft2,
-    ifft2,
     interp_space,
     interp_time,
     nearest_index_map,
@@ -18,7 +15,7 @@ from mfpod.numerics import (
 
 
 # ---------------------------------------------------------------------------
-# grids and spectral fields
+# grids and wavenumbers
 # ---------------------------------------------------------------------------
 
 def test_grid_nodes_and_spacing():
@@ -34,38 +31,6 @@ def test_grid_nodes_and_spacing():
 def test_grid_rejects_odd_or_tiny(n):
     with pytest.raises(ValidationError):
         Grid2D(n, 1.0)
-
-
-def test_spectral_field_conjugate_symmetry():
-    grid = Grid2D(16, 1.0)
-    rng = np.random.default_rng(0)
-    real = fft2(rng.standard_normal((16, 16)), grid)
-    assert real.is_real_field()
-    complex_coef = real.coef.copy()
-    complex_coef[3, 5] += 1.0  # break the symmetry
-    assert not SpectralField(grid, complex_coef).is_real_field()
-
-
-# ---------------------------------------------------------------------------
-# fft2
-# ---------------------------------------------------------------------------
-
-def test_fft2_constant_field_is_dc_only():
-    grid = Grid2D(4, 1.0)
-    c = 0.73
-    coef = fft2(np.full((4, 4), c), grid).coef
-    assert coef[0, 0] == pytest.approx(16 * c)
-    rest = coef.copy()
-    rest[0, 0] = 0.0
-    assert np.abs(rest).max() < 1e-12
-
-
-def test_fft2_round_trip_random_field():
-    grid = Grid2D(32, 2.0)
-    rng = np.random.default_rng(1)
-    field = rng.standard_normal((32, 32))
-    back = ifft2(fft2(field, grid))
-    assert np.abs(back - field).max() < 1e-12
 
 
 def _direct_dft(field: np.ndarray) -> np.ndarray:
@@ -89,36 +54,23 @@ def test_direct_dft_oracle_matches_literal_loop():
     assert_allclose(_direct_dft(field), by_loop, atol=1e-10)
 
 
-def test_fft2_pure_sinusoid_two_modes():
-    n, L = 64, 5.0
+def test_half_wavenumbers_locate_plane_wave():
+    # cos(a x + b y) has one mode in the rfft2 half spectrum, at the index
+    # whose half wavenumbers are (a, b); its conjugate (-a, -b) is not stored
+    n, L = 16, 5.0
     grid = Grid2D(n, L)
-    X, _ = grid.meshes()
-    field = np.sin(2 * np.pi * X / (2 * L))
-    coef = fft2(field, grid).coef
-    assert_allclose(coef, _direct_dft(field), atol=1e-9 * n * n)
+    X, Y = grid.meshes()
+    a, b = 3 * np.pi / L, 2 * np.pi / L
+    field = np.cos(a * X + b * Y)
+    coef = np.fft.rfft2(field)
+    assert_allclose(coef, _direct_dft(field)[:, : n // 2 + 1], atol=1e-9 * n * n)
+    kx, ky = grid.half_wavenumbers()
+    assert kx.shape == (n, 1) and ky.shape == (1, n // 2 + 1)
     magnitude = np.abs(coef)
     nonzero = np.argwhere(magnitude > 1e-9 * magnitude.max())
-    assert sorted(map(tuple, nonzero)) == [(1, 0), (n - 1, 0)]
-
-
-def test_fft2_rejects_non_square():
-    grid = Grid2D(4, 1.0)
-    with pytest.raises(ShapeError):
-        fft2(np.zeros((4, 6)), grid)
-    with pytest.raises(ShapeError):
-        fft2(np.zeros((8, 8)), grid)
-
-
-@settings(max_examples=25, deadline=None)
-@given(n=st.sampled_from([4, 8, 16, 32, 64]), seed=st.integers(0, 2**31))
-def test_fft_round_trip_and_parseval(n, seed):
-    grid = Grid2D(n, 3.0)
-    field = np.random.default_rng(seed).standard_normal((n, n))
-    spec = fft2(field, grid)
-    scale = max(np.abs(field).max(), 1.0)
-    assert np.abs(ifft2(spec) - field).max() < 1e-12 * scale
-    energy = (field**2).sum()
-    assert abs((np.abs(spec.coef) ** 2).sum() / n**2 - energy) < 1e-10 * energy
+    assert [tuple(ix) for ix in nonzero] == [(3, 2)]
+    assert kx[3, 0] == pytest.approx(a) and ky[0, 2] == pytest.approx(b)
+    assert kx[n // 2, 0] ** 2 == pytest.approx(ky[0, n // 2] ** 2)
 
 
 # ---------------------------------------------------------------------------

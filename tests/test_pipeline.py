@@ -27,7 +27,7 @@ from mfpod.pipeline import (
 from mfpod.pod import PodRule
 from mfpod.snapshots import ParameterGrid, SnapshotSet
 from mfpod.solvers import FidelityProfile, generate_dataset, rd_initial
-from mfpod.lifting import LiftSpec, lift
+from mfpod.lifting import LiftSpec, lift, lift_project
 from mfpod.numerics import Grid2D
 
 
@@ -139,6 +139,19 @@ def test_online_predict_extends_past_training_horizon(tiny_model):
     pred = online_predict(tiny_model, 1.0, 8.0)  # T_train was 4.0
     assert pred.times[-1] == pytest.approx(8.0)
     assert np.all(np.isfinite(pred.data))
+
+
+def test_online_coefficients_match_fresh_stencil(tiny_model, tmp_path):
+    # the model's own stencil, kept from offline_train or rebuilt on load,
+    # gives the coefficients that building the stencil per call gives
+    path = tmp_path / "model.mfsurr"
+    save_model(tiny_model, path)
+    for model in (tiny_model, load_model(path)):
+        detail = online_predict_detailed(model, 0.8, 6.0)  # LF dt is twice HF dt
+        spec = LiftSpec(model.lift_spec.spatial_mode, model.lift_spec.src_grid,
+                        model.lift_spec.dst_grid, detail.prediction.times)
+        fresh = lift_project(detail.lf_snapshots, spec, model.basis, stencil=None)
+        assert np.array_equal(detail.lf_coefficients.coeffs, fresh.coeffs)
 
 
 def test_prediction_times_grid(tiny_model):

@@ -140,8 +140,7 @@ def test_sw_zero_advection_is_pure_diffusion():
     n, d, T, dt = 32, 0.001, 2.0, 0.1
     cfg = SwConfig(n=n, T=T, mu=0.0, d=d, dt=dt)
     times, data = solve_sw(cfg)
-    grid = Grid2D(n, 10.0)
-    KX, KY = grid.wavenumber_meshes()
+    KX, KY = _full_wavenumbers(n, 10.0)
     k2 = KX**2 + KY**2
     w0_hat = np.fft.fft2(vec_to_field(data[:, 0], n))
     wT_hat = np.fft.fft2(vec_to_field(data[:, -1], n))
@@ -172,6 +171,92 @@ def test_sw_instability_raises_with_step_index():
     cfg = SwConfig(n=50, T=20.0, mu=5.0, dt=1.0)  # far past the RK4 CFL limit
     with pytest.raises(InstabilityError, match=r"step \d+"):
         solve_sw(cfg)
+
+
+# ---------------------------------------------------------------------------
+# complex-FFT reference
+# ---------------------------------------------------------------------------
+
+def _full_wavenumbers(n, L):
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
+    return np.meshgrid(k, k, indexing="ij")
+
+
+def _reference_rd_rhs(cfg):
+    KX, KY = _full_wavenumbers(cfg.n, cfg.L)
+    k2 = KX**2 + KY**2
+
+    def rhs(hats):
+        uh, vh = hats
+        u = np.fft.ifft2(uh).real
+        v = np.fft.ifft2(vh).real
+        a2 = u * u + v * v
+        ru = np.fft.fft2((1.0 - a2) * u + cfg.mu * a2 * v)
+        rv = np.fft.fft2(-cfg.mu * a2 * u + (1.0 - a2) * v)
+        return ru - cfg.d * k2 * uh, rv - cfg.d * k2 * vh
+
+    return rhs
+
+
+def _reference_sw_rhs(cfg):
+    KX, KY = _full_wavenumbers(cfg.n, cfg.L)
+    k2 = KX**2 + KY**2
+    inv_k2 = np.zeros_like(k2)
+    inv_k2[k2 > 0] = 1.0 / k2[k2 > 0]
+
+    def rhs(hats):
+        (wh,) = hats
+        psi_hat = -wh * inv_k2
+        psi_x = np.fft.ifft2(1j * KX * psi_hat).real
+        psi_y = np.fft.ifft2(1j * KY * psi_hat).real
+        w_x = np.fft.ifft2(1j * KX * wh).real
+        w_y = np.fft.ifft2(1j * KY * wh).real
+        bracket = np.fft.fft2(psi_x * w_y - psi_y * w_x)
+        return (-cfg.mu * bracket - cfg.d * k2 * wh,)
+
+    return rhs
+
+
+def _reference_rk4(rhs, fields, dt, steps):
+    """Classical RK4 on full complex spectra, keeping the real part of every
+    inverse transform; returns the stacked flattened fields per step."""
+    hats = tuple(np.fft.fft2(f) for f in fields)
+
+    def column(hats):
+        return np.concatenate([np.fft.ifft2(h).real.ravel(order="F") for h in hats])
+
+    columns = [column(hats)]
+    for _ in range(steps):
+        k1 = rhs(hats)
+        k2 = rhs(tuple(h + 0.5 * dt * k for h, k in zip(hats, k1)))
+        k3 = rhs(tuple(h + 0.5 * dt * k for h, k in zip(hats, k2)))
+        k4 = rhs(tuple(h + dt * k for h, k in zip(hats, k3)))
+        hats = tuple(
+            h + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for h, a, b, c, d in zip(hats, k1, k2, k3, k4)
+        )
+        columns.append(column(hats))
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("problem", ["rd", "sw"])
+def test_half_spectrum_solvers_match_complex_fft_reference(problem):
+    # a random initial condition excites the Nyquist modes, whose first
+    # derivatives the real part of the complex transform drops
+    n, steps = 16, 40
+    rng = np.random.default_rng(3)
+    if problem == "rd":
+        cfg = RdConfig(n=n, T=steps * 0.05, mu=1.0, dt=0.05)
+        fields = (rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, n)))
+        _, data = solve_rd(cfg, ic=fields)
+        expected = _reference_rk4(_reference_rd_rhs(cfg), fields, cfg.dt, steps)
+    else:
+        cfg = SwConfig(n=n, T=steps * 0.1, mu=3.0, dt=0.1)
+        fields = (rng.uniform(-1, 1, (n, n)),)
+        _, data = solve_sw(cfg, ic=fields[0])
+        expected = _reference_rk4(_reference_sw_rhs(cfg), fields, cfg.dt, steps)
+    assert data.shape == expected.shape
+    assert np.abs(data - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 # ---------------------------------------------------------------------------
