@@ -271,26 +271,17 @@ def cmd_search(args) -> int:
     space = _require(section, "space")
     if not isinstance(space, dict) or not space:
         raise ValidationError("search.space must be a nonempty object of candidate lists")
-    hf = read_snapshots(args.hf)
-    lf = read_snapshots(args.lf)
-    from .lifting import LiftSpec, lift_project
-    from .pod import build_basis
-
-    basis = build_basis(hf, _pod_rule(cfg))
-    lift_cfg = cfg.get("lift", {})
-    spec = LiftSpec(
-        spatial_mode=lift_cfg.get("spatial_mode", "bilinear"),
-        src_grid=lf.grid,
-        dst_grid=hf.grid,
-        dst_times=hf.times,
+    data = pipeline.offline_prepare(
+        read_snapshots(args.hf),
+        read_snapshots(args.lf),
+        _pod_rule(cfg),
+        spatial_mode=cfg.get("lift", {}).get("spatial_mode", "bilinear"),
     )
-    coef_hf = project(basis, hf)
-    coef_lf = lift_project(lf, spec, basis)
     best_cfg, trials = hyperparameter_search(
         space,
         int(section.get("budget", 4)),
-        coef_lf,
-        coef_hf,
+        data.coef_lf,
+        data.coef_hf,
         base_cfg=_train_config(cfg),
         mode=section.get("mode", "random"),
         seed=_seed(cfg),
@@ -309,33 +300,16 @@ def cmd_search(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
-    for path in args.reports:
-        csv_path = Path(path)
-        if not csv_path.is_file():
-            raise ValidationError(f"report file not found: {csv_path}")
-        lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
-        header = lines[0].split(",")
-        if header[:4] != ["mu", "t", "err_mf_percent", "err_lf_percent"]:
-            raise ValidationError(f"{csv_path} is not an evaluation report CSV")
-        for line in lines[1:]:
-            mu, t, emf, elf = (float(x) for x in line.split(","))
-            rows.append((mu, t, emf, elf))
-    if not rows:
-        raise ValidationError("no report rows found")
-    arr = np.asarray(rows)
-    lines_out = ["aggregated evaluation report", f"  columns: {arr.shape[0]}"]
-    lines_out.append(
-        f"  overall relative error  surrogate: {arr[:, 2].mean():.2f}%   "
-        f"lifted LF: {arr[:, 3].mean():.2f}%"
-    )
-    lines_out.append("  per-parameter means:")
-    for mu in np.unique(arr[:, 0]):
-        mask = arr[:, 0] == mu
-        lines_out.append(
-            f"    mu = {mu:g}: surrogate {arr[mask, 2].mean():.2f}%   "
-            f"lifted LF {arr[mask, 3].mean():.2f}%"
-        )
+    report = pipeline.EvalReport.from_csv(args.reports)
+    lines_out = [
+        "aggregated evaluation report",
+        f"  columns: {report.mus.size}",
+        f"  overall relative error  surrogate: {report.err_mf_percent:.2f}%   "
+        f"lifted LF: {report.err_lf_percent:.2f}%",
+        "  per-parameter means:",
+    ]
+    for mu, emf, elf in report.per_parameter():
+        lines_out.append(f"    mu = {mu:g}: surrogate {emf:.2f}%   lifted LF {elf:.2f}%")
     text = "\n".join(lines_out)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -25,6 +25,13 @@ weights.
 The static baseline is a plain feed-forward network over [mu, low-fidelity
 coefficients] (no time input, no recurrence) mapping columns independently;
 with zero hidden layers it degenerates to linear regression.
+
+Both models train through one loop, ``_fit``: seeded shuffles, mini-batch
+Adam, the divergence check and best-held-out-weights tracking. Each model
+supplies only its features, initial weights and a batch loss-and-gradient
+closure. The LSTM's closure is ``_sse_grads``, which ``sequence_loss_grads``
+runs too, so the finite-difference checks test the code training runs. The
+LSTM persists as an MFLSTM01 block through ``codec``.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .codec import Reader, dump_f64
 from .errors import (
     AlignmentError,
     FormatError,
@@ -45,7 +53,6 @@ from .errors import (
 from .pod import CoefficientSeries
 
 LSTM_MAGIC = b"MFLSTM01"
-STATIC_MAGIC = b"MFSTAT01"
 _VAL_FRACTION = 0.1
 
 
@@ -319,17 +326,6 @@ def static_forward(model: StaticModel, x: np.ndarray) -> np.ndarray:
 # feature assembly
 # ---------------------------------------------------------------------------
 
-def _check_aligned(lf: CoefficientSeries, hf: CoefficientSeries) -> None:
-    if lf.coeffs.shape != hf.coeffs.shape:
-        raise AlignmentError(
-            f"coefficient shapes differ: {lf.coeffs.shape} vs {hf.coeffs.shape}"
-        )
-    if not np.array_equal(lf.times, hf.times):
-        raise AlignmentError("low- and high-fidelity series have different time grids")
-    if not np.array_equal(lf.params, hf.params):
-        raise AlignmentError("low- and high-fidelity series have different parameters")
-
-
 def _feature_tensor(series: CoefficientSeries, with_time: bool) -> np.ndarray:
     """(n_mu, n_t, n_features) feature array in layout order."""
     n_mu, n_t = series.n_mu, series.n_t
@@ -346,33 +342,36 @@ def _target_tensor(series: CoefficientSeries) -> np.ndarray:
     return np.stack([series.trajectory(i).T for i in range(series.n_mu)], axis=0)
 
 
+def _samples(lf: CoefficientSeries, hf: CoefficientSeries, with_time: bool):
+    """Layout, feature and target tensors, held-out step count, normalizers.
+
+    The last ``_VAL_FRACTION`` of every trajectory is held out; the
+    normalizers are fitted on the remaining training span.
+    """
+    if lf.coeffs.shape != hf.coeffs.shape:
+        raise AlignmentError(
+            f"coefficient shapes differ: {lf.coeffs.shape} vs {hf.coeffs.shape}"
+        )
+    if not np.array_equal(lf.times, hf.times):
+        raise AlignmentError("low- and high-fidelity series have different time grids")
+    if not np.array_equal(lf.params, hf.params):
+        raise AlignmentError("low- and high-fidelity series have different parameters")
+    layout = FeatureLayout(with_time=with_time, n_params=lf.params.shape[1], n_coef=lf.n_pod)
+    features = _feature_tensor(lf, with_time=with_time)
+    targets = _target_tensor(hf)
+    n_t = features.shape[1]
+    n_val = max(1, int(round(_VAL_FRACTION * n_t))) if n_t > 1 else 0
+    in_norm = Normalizer.fit(features[:, : n_t - n_val].reshape(-1, layout.n_features))
+    out_norm = Normalizer.fit(targets[:, : n_t - n_val].reshape(-1, targets.shape[2]))
+    return layout, features, targets, n_val, in_norm, out_norm
+
+
 def _window_starts(n_train_t: int, k: int) -> list[int]:
     starts = list(range(0, n_train_t - k + 1, k))
     tail = n_train_t - k
     if tail not in starts:
         starts.append(tail)
     return starts
-
-
-class _Adam:
-    def __init__(self, params: list[np.ndarray], cfg: TrainConfig):
-        self.params = params
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.cfg = cfg
-        self.t = 0
-
-    def step(self, grads: list[np.ndarray]) -> None:
-        cfg = self.cfg
-        self.t += 1
-        bias1 = 1.0 - cfg.beta1**self.t
-        bias2 = 1.0 - cfg.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
 
 
 def _init_lstm_params(cfg: TrainConfig, d_in: int, n_out: int, rng) -> tuple[list, tuple]:
@@ -390,6 +389,68 @@ def _init_lstm_params(cfg: TrainConfig, d_in: int, n_out: int, rng) -> tuple[lis
     return stacked, (w_out, b_out)
 
 
+def _fit(cfg: TrainConfig, rng, params: list[np.ndarray], n_items: int, batch_size: int,
+         batch_sse_grads, n_terms: int, val_loss, val_every: int):
+    """Adam on ``params`` (in place) over shuffled batches of ``n_items`` items.
+
+    ``batch_sse_grads(idx)`` returns a batch's summed squared error and its
+    gradients; an epoch's training loss is the summed error over ``n_terms``.
+    ``val_loss`` (None when nothing is held out) runs every ``val_every``
+    epochs and after the last. Returns the parameters with the best held-out
+    loss, or the final ones if none was finite, and the (epoch, train, val)
+    history.
+    """
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    n_steps = 0
+    best_val = np.inf
+    best = [p.copy() for p in params]
+    history: list[tuple[int, float, float]] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n_items)
+            sse = 0.0
+            for lo in range(0, n_items, batch_size):
+                batch_sse, grads = batch_sse_grads(order[lo : lo + batch_size])
+                sse += batch_sse
+                n_steps += 1
+                bias1 = 1.0 - cfg.beta1**n_steps
+                bias2 = 1.0 - cfg.beta2**n_steps
+                for p, g, (m, v) in zip(params, grads, moments):
+                    m *= cfg.beta1
+                    m += (1.0 - cfg.beta1) * g
+                    v *= cfg.beta2
+                    v += (1.0 - cfg.beta2) * g * g
+                    p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+            train_loss = sse / n_terms
+            if not np.isfinite(train_loss):
+                raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
+            val = float("nan")
+            if val_loss is not None and (epoch % val_every == 0 or epoch == cfg.epochs - 1):
+                val = val_loss()
+                if val < best_val:
+                    best_val = val
+                    best = [p.copy() for p in params]
+            history.append((epoch, train_loss, val))
+    if not np.isfinite(best_val):
+        best = [p.copy() for p in params]
+    return best, history
+
+
+def _sse_grads(stacked, readout, scale_sq, x, y) -> tuple[float, list[np.ndarray]]:
+    """Summed squared error in physical units over normalized (T, B, .) x and y.
+
+    The gradients are of the mean over T * B, in the order of ``stacked``
+    then the readout.
+    """
+    y_pred, cache = _forward_stacked(stacked, readout, x, need_cache=True)
+    n_steps, n_batch, _ = x.shape
+    resid = y_pred - y
+    sse = float((resid**2 * scale_sq).sum())
+    d_y = (2.0 / (n_steps * n_batch)) * resid * scale_sq
+    layer_grads, d_w_out, d_b_out = _backward_stacked(stacked, readout, cache, d_y)
+    return sse, [arr for pair in layer_grads for arr in pair] + [d_w_out, d_b_out]
+
+
 def train(
     lf: CoefficientSeries,
     hf: CoefficientSeries,
@@ -405,15 +466,8 @@ def train(
     """
     if cfg.n_layers < 1:
         raise ValidationError("the recurrent model needs at least one layer")
-    _check_aligned(lf, hf)
-    layout = FeatureLayout(
-        with_time=True, n_params=lf.params.shape[1], n_coef=lf.n_pod
-    )
-    features = _feature_tensor(lf, with_time=True)
-    targets = _target_tensor(hf)
+    layout, features, targets, n_val, in_norm, out_norm = _samples(lf, hf, with_time=True)
     n_mu, n_t, _ = features.shape
-
-    n_val = max(1, int(round(_VAL_FRACTION * n_t))) if n_t > 1 else 0
     n_train_t = n_t - n_val
     if cfg.k_window > n_train_t:
         raise TrainingError(
@@ -421,8 +475,6 @@ def train(
             f"steps left after holding out validation"
         )
 
-    in_norm = Normalizer.fit(features[:, :n_train_t].reshape(-1, layout.n_features))
-    out_norm = Normalizer.fit(targets[:, :n_train_t].reshape(-1, targets.shape[2]))
     x_all = in_norm.encode(features)
     y_all = out_norm.encode(targets)
 
@@ -434,7 +486,6 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     stacked, readout = _init_lstm_params(cfg, layout.n_features, targets.shape[2], rng)
     flat = [arr for pair in stacked for arr in pair] + list(readout)
-    adam = _Adam(flat, cfg)
 
     x_full = x_all.transpose(1, 0, 2)
     y_full = y_all.transpose(1, 0, 2)
@@ -442,58 +493,24 @@ def train(
     # z-score inside the loss weights every mode by its physical scale
     scale_sq = out_norm.std**2
 
+    def batch_sse_grads(idx):
+        return _sse_grads(stacked, readout, scale_sq,
+                          x_win[idx].transpose(1, 0, 2), y_win[idx].transpose(1, 0, 2))
+
     def validation_loss() -> float:
-        if n_val == 0:
-            return float("nan")
         y_pred, _ = _forward_stacked(stacked, readout, x_full)
         resid = y_pred[n_train_t:] - y_full[n_train_t:]
         return float((resid**2 * scale_sq).sum() / (n_val * n_mu))
 
-    best_val = np.inf
-    best_params = [p.copy() for p in flat]
-    history: list[tuple[int, float, float]] = []
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(windows))
-            sse = 0.0
-            count = 0
-            for lo in range(0, len(order), cfg.n_batch):
-                idx = order[lo : lo + cfg.n_batch]
-                xb = x_win[idx].transpose(1, 0, 2)
-                yb = y_win[idx].transpose(1, 0, 2)
-                y_pred, cache = _forward_stacked(stacked, readout, xb, need_cache=True)
-                resid = y_pred - yb
-                batch_sse = float((resid**2 * scale_sq).sum())
-                sse += batch_sse
-                count += idx.size
-                d_y = (2.0 / (cfg.k_window * idx.size)) * resid * scale_sq
-                layer_grads, d_w_out, d_b_out = _backward_stacked(
-                    stacked, readout, cache, d_y
-                )
-                grads = [arr for pair in layer_grads for arr in pair] + [d_w_out, d_b_out]
-                adam.step(grads)
-            train_loss = sse / (cfg.k_window * count)
-            if not np.isfinite(train_loss):
-                raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
-            val_loss = float("nan")
-            if n_val and (epoch % val_every == 0 or epoch == cfg.epochs - 1):
-                val_loss = validation_loss()
-                if val_loss < best_val:
-                    best_val = val_loss
-                    best_params = [p.copy() for p in flat]
-            history.append((epoch, train_loss, val_loss))
-
-    if not np.isfinite(best_val):
-        best_params = [p.copy() for p in flat]
-
-    layers = []
-    for li in range(cfg.n_layers):
-        layers.append(LstmLayerWeights.from_stacked(best_params[2 * li], best_params[2 * li + 1]))
+    best, history = _fit(cfg, rng, flat, len(windows), cfg.n_batch, batch_sse_grads,
+                         cfg.k_window * len(windows), validation_loss if n_val else None,
+                         val_every)
+    layers = [LstmLayerWeights.from_stacked(best[2 * li], best[2 * li + 1])
+              for li in range(cfg.n_layers)]
     return LstmModel(
         layers=layers,
-        w_out=best_params[-2],
-        b_out=best_params[-1],
+        w_out=best[-2],
+        b_out=best[-1],
         input_norm=in_norm,
         output_norm=out_norm,
         layout=layout,
@@ -508,22 +525,10 @@ def train_static_baseline(
     val_every: int = 1,
 ) -> StaticModel:
     """Fit the time-agnostic feed-forward baseline on independent columns."""
-    _check_aligned(lf, hf)
-    layout = FeatureLayout(
-        with_time=False, n_params=lf.params.shape[1], n_coef=lf.n_pod
-    )
-    features = _feature_tensor(lf, with_time=False)
-    targets = _target_tensor(hf)
-    n_mu, n_t, _ = features.shape
-    n_val = max(1, int(round(_VAL_FRACTION * n_t))) if n_t > 1 else 0
-    n_train_t = n_t - n_val
-
-    x_train = features[:, :n_train_t].reshape(-1, layout.n_features)
-    y_train = targets[:, :n_train_t].reshape(-1, targets.shape[2])
-    in_norm = Normalizer.fit(x_train)
-    out_norm = Normalizer.fit(y_train)
-    xn = in_norm.encode(x_train)
-    yn = out_norm.encode(y_train)
+    layout, features, targets, n_val, in_norm, out_norm = _samples(lf, hf, with_time=False)
+    n_train_t = features.shape[1] - n_val
+    xn = in_norm.encode(features[:, :n_train_t].reshape(-1, layout.n_features))
+    yn = out_norm.encode(targets[:, :n_train_t].reshape(-1, targets.shape[2]))
     x_val = in_norm.encode(features[:, n_train_t:].reshape(-1, layout.n_features))
     y_val = out_norm.encode(targets[:, n_train_t:].reshape(-1, targets.shape[2]))
 
@@ -534,7 +539,6 @@ def train_static_baseline(
         limit = 1.0 / np.sqrt(d_in)
         weights.append((rng.uniform(-limit, limit, size=(d_out, d_in)), np.zeros(d_out)))
     flat = [arr for pair in weights for arr in pair]
-    adam = _Adam(flat, cfg)
     scale_sq = out_norm.std**2
 
     def forward_cached(x):
@@ -546,50 +550,28 @@ def train_static_baseline(
         w, b = weights[-1]
         return h @ w.T + b, acts
 
-    def val_loss_now() -> float:
-        if n_val == 0:
-            return float("nan")
+    def batch_sse_grads(idx):
+        pred, acts = forward_cached(xn[idx])
+        resid = pred - yn[idx]
+        sse = float((resid**2 * scale_sq).sum())
+        delta = (2.0 / idx.size) * resid * scale_sq
+        grads_rev = []
+        for wi in range(len(weights) - 1, -1, -1):
+            w, _ = weights[wi]
+            grads_rev.append((delta.T @ acts[wi], delta.sum(axis=0)))
+            if wi > 0:
+                delta = (delta @ w) * (1.0 - acts[wi] ** 2)
+        return sse, [arr for pair in reversed(grads_rev) for arr in pair]
+
+    def validation_loss() -> float:
         pred, _ = forward_cached(x_val)
         return float(((pred - y_val) ** 2 * scale_sq).sum() / x_val.shape[0])
 
-    batch_size = cfg.n_batch * cfg.k_window
-    best_val = np.inf
-    best = [p.copy() for p in flat]
-    history: list[tuple[int, float, float]] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(xn.shape[0])
-            sse = 0.0
-            for lo in range(0, xn.shape[0], batch_size):
-                idx = order[lo : lo + batch_size]
-                pred, acts = forward_cached(xn[idx])
-                resid = pred - yn[idx]
-                sse += float((resid**2 * scale_sq).sum())
-                delta = (2.0 / idx.size) * resid * scale_sq
-                grads_rev = []
-                for wi in range(len(weights) - 1, -1, -1):
-                    w, _ = weights[wi]
-                    grads_rev.append((delta.T @ acts[wi], delta.sum(axis=0)))
-                    if wi > 0:
-                        delta = (delta @ w) * (1.0 - acts[wi] ** 2)
-                grads = [arr for pair in reversed(grads_rev) for arr in pair]
-                adam.step(grads)
-            train_loss = sse / xn.shape[0]
-            if not np.isfinite(train_loss):
-                raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
-            val_loss = float("nan")
-            if n_val and (epoch % val_every == 0 or epoch == cfg.epochs - 1):
-                val_loss = val_loss_now()
-                if val_loss < best_val:
-                    best_val = val_loss
-                    best = [p.copy() for p in flat]
-            history.append((epoch, train_loss, val_loss))
-
-    if not np.isfinite(best_val):
-        best = [p.copy() for p in flat]
-    final = [(best[2 * i], best[2 * i + 1]) for i in range(len(weights))]
+    best, history = _fit(cfg, rng, flat, xn.shape[0], cfg.n_batch * cfg.k_window,
+                         batch_sse_grads, xn.shape[0], validation_loss if n_val else None,
+                         val_every)
     return StaticModel(
-        weights=final,
+        weights=[(best[2 * i], best[2 * i + 1]) for i in range(len(weights))],
         input_norm=in_norm,
         output_norm=out_norm,
         layout=layout,
@@ -667,25 +649,23 @@ def sequence_loss(model: LstmModel, x: np.ndarray, y: np.ndarray) -> float:
 def sequence_loss_grads(
     model: LstmModel, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus analytic gradients keyed like ``trainable_parameters``."""
-    stacked = _model_stacked(model)
-    readout = (model.w_out, model.b_out)
-    y_pred, cache = _forward_stacked(stacked, readout, x, need_cache=True)
+    """Loss plus analytic gradients keyed like ``trainable_parameters``.
+
+    Runs the same loss-and-gradient code as every training step of ``train``.
+    """
     n_steps, n_batch, _ = x.shape
-    scale_sq = model.output_norm.std**2
-    resid = y_pred - y
-    loss = float((resid**2 * scale_sq).sum() / (n_steps * n_batch))
-    d_y = (2.0 / (n_steps * n_batch)) * resid * scale_sq
-    layer_grads, d_w_out, d_b_out = _backward_stacked(stacked, readout, cache, d_y)
+    sse, flat = _sse_grads(_model_stacked(model), (model.w_out, model.b_out),
+                           model.output_norm.std**2, x, y)
     h = model.hidden
     grads: dict[str, np.ndarray] = {}
-    for li, (d_w, d_b) in enumerate(layer_grads):
+    for li in range(len(model.layers)):
+        d_w, d_b = flat[2 * li], flat[2 * li + 1]
         for gi, gate in enumerate(("f", "u", "o", "c")):
             grads[f"layer{li}.w_{gate}"] = d_w[gi * h : (gi + 1) * h]
             grads[f"layer{li}.b_{gate}"] = d_b[gi * h : (gi + 1) * h]
-    grads["w_out"] = d_w_out
-    grads["b_out"] = d_b_out
-    return loss, grads
+    grads["w_out"] = flat[-2]
+    grads["b_out"] = flat[-1]
+    return sse / (n_steps * n_batch), grads
 
 
 # ---------------------------------------------------------------------------
@@ -763,36 +743,6 @@ def hyperparameter_search(
 # serialization
 # ---------------------------------------------------------------------------
 
-def _dump(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-class _Reader:
-    def __init__(self, buf: bytes, what: str):
-        self.buf = buf
-        self.pos = 0
-        self.what = what
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.buf):
-            raise FormatError(f"truncated {self.what} block")
-        out = self.buf[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def u32(self, count: int = 1):
-        vals = struct.unpack(f"<{count}I", self.take(4 * count))
-        return vals[0] if count == 1 else vals
-
-    def f64_array(self, shape) -> np.ndarray:
-        size = int(np.prod(shape))
-        return np.frombuffer(self.take(8 * size), dtype="<f8").reshape(shape).copy()
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise FormatError(f"trailing bytes after {self.what} block")
-
-
 def lstm_to_bytes(model: LstmModel) -> bytes:
     parts = [LSTM_MAGIC]
     d_in = model.layout.n_features
@@ -810,18 +760,18 @@ def lstm_to_bytes(model: LstmModel) -> bytes:
     parts.append(struct.pack("<I", int(model.layout.with_time)))
     for layer in model.layers:
         for name in ("w_f", "w_u", "w_o", "w_c", "b_f", "b_u", "b_o", "b_c"):
-            parts.append(_dump(getattr(layer, name)))
-    parts.append(_dump(model.w_out))
-    parts.append(_dump(model.b_out))
-    parts.append(_dump(model.input_norm.mean))
-    parts.append(_dump(model.input_norm.std))
-    parts.append(_dump(model.output_norm.mean))
-    parts.append(_dump(model.output_norm.std))
+            parts.append(dump_f64(getattr(layer, name)))
+    parts.append(dump_f64(model.w_out))
+    parts.append(dump_f64(model.b_out))
+    parts.append(dump_f64(model.input_norm.mean))
+    parts.append(dump_f64(model.input_norm.std))
+    parts.append(dump_f64(model.output_norm.mean))
+    parts.append(dump_f64(model.output_norm.std))
     return b"".join(parts)
 
 
-def lstm_from_bytes(buf: bytes) -> LstmModel:
-    reader = _Reader(buf, "LSTM model")
+def lstm_from_bytes(buf) -> LstmModel:
+    reader = Reader(buf, "LSTM model")
     if reader.take(8) != LSTM_MAGIC:
         raise FormatError("bad LSTM block magic")
     n_layers, hidden, n_out, d_in, n_params, n_coef = reader.u32(6)
@@ -829,6 +779,8 @@ def lstm_from_bytes(buf: bytes) -> LstmModel:
     layout = FeatureLayout(with_time=with_time, n_params=n_params, n_coef=n_coef)
     if layout.n_features != d_in:
         raise FormatError("inconsistent feature layout in LSTM block")
+    if hidden < 1:
+        raise FormatError("LSTM block declares no hidden units")
     layers = []
     for li in range(n_layers):
         d_layer = d_in if li == 0 else hidden
@@ -847,48 +799,4 @@ def lstm_from_bytes(buf: bytes) -> LstmModel:
         input_norm=in_norm,
         output_norm=out_norm,
         layout=layout,
-    )
-
-
-def static_to_bytes(model: StaticModel) -> bytes:
-    parts = [STATIC_MAGIC]
-    hidden = model.weights[0][0].shape[0] if len(model.weights) > 1 else 0
-    parts.append(
-        struct.pack(
-            "<5I",
-            len(model.weights) - 1,
-            hidden,
-            model.n_out,
-            model.layout.n_params,
-            model.layout.n_coef,
-        )
-    )
-    for w, b in model.weights:
-        parts.append(_dump(w))
-        parts.append(_dump(b))
-    parts.append(_dump(model.input_norm.mean))
-    parts.append(_dump(model.input_norm.std))
-    parts.append(_dump(model.output_norm.mean))
-    parts.append(_dump(model.output_norm.std))
-    return b"".join(parts)
-
-
-def static_from_bytes(buf: bytes) -> StaticModel:
-    reader = _Reader(buf, "static model")
-    if reader.take(8) != STATIC_MAGIC:
-        raise FormatError("bad static block magic")
-    n_hidden, hidden, n_out, n_params, n_coef = reader.u32(5)
-    layout = FeatureLayout(with_time=False, n_params=n_params, n_coef=n_coef)
-    dims = [layout.n_features] + [hidden] * n_hidden + [n_out]
-    weights = []
-    for d_in_i, d_out_i in zip(dims[:-1], dims[1:]):
-        w = reader.f64_array((d_out_i, d_in_i))
-        b = reader.f64_array((d_out_i,))
-        weights.append((w, b))
-    in_norm = Normalizer(reader.f64_array((layout.n_features,)),
-                         reader.f64_array((layout.n_features,)))
-    out_norm = Normalizer(reader.f64_array((n_out,)), reader.f64_array((n_out,)))
-    reader.done()
-    return StaticModel(
-        weights=weights, input_norm=in_norm, output_norm=out_norm, layout=layout
     )

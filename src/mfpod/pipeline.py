@@ -6,7 +6,12 @@ high-fidelity resolution; both sets are projected onto the basis; and the
 recurrent map is trained on the aligned coefficient pairs. Online, a new
 parameter value costs one low-fidelity solve: its trajectory is lifted,
 projected, mapped through the network, and expanded back to full fields.
-The high-fidelity solver is never invoked online.
+The high-fidelity solver is never invoked online. ``offline_prepare`` runs
+the first three stages alone, for callers such as a hyperparameter search
+that train several networks on the same coefficients.
+
+Models persist as MFSURR files through ``codec``: they are written
+atomically, and a truncated, forged or corrupt file raises ``FormatError``.
 
 Relative errors follow the column-wise definition
 
@@ -29,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solvers
+from .codec import Reader, dump_f64, utf8_bytes, write_atomic
 from .errors import (
     AlignmentError,
     CoverageError,
@@ -47,6 +53,7 @@ SURROGATE_MAGIC = b"MFSURR01"
 _BASIS_MAGIC = b"MFBASIS1"
 _LIFT_MAGIC = b"MFLIFT01"
 _PROV_MAGIC = b"MFPROV01"
+_CSV_HEADER = ["mu", "t", "err_mf_percent", "err_lf_percent"]
 
 
 @dataclass(frozen=True)
@@ -126,15 +133,36 @@ class EvalReport:
         return out
 
     def to_csv(self, path: str | Path) -> None:
-        lines = ["mu,t,err_mf_percent,err_lf_percent"]
+        lines = [",".join(_CSV_HEADER)]
         for mu, t, emf, elf in zip(
             self.mus, self.ts, self.col_err_mf_percent, self.col_err_lf_percent
         ):
             lines.append(f"{float(mu)!r},{float(t)!r},{float(emf)!r},{float(elf)!r}")
-        try:
-            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise StorageError(f"cannot write report to {path}: {exc}") from exc
+        write_atomic(path, ["\n".join(lines).encode("utf-8") + b"\n"], "report")
+
+    @classmethod
+    def from_csv(cls, paths) -> "EvalReport":
+        """Pool the columns of one or more ``to_csv`` files; timings are NaN."""
+        rows = []
+        for path in paths:
+            csv_path = Path(path)
+            if not csv_path.is_file():
+                raise ValidationError(f"report file not found: {csv_path}")
+            lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
+            if not lines or lines[0].split(",")[:4] != _CSV_HEADER:
+                raise ValidationError(f"{csv_path} is not an evaluation report CSV")
+            for line in lines[1:]:
+                try:
+                    mu, t, emf, elf = (float(x) for x in line.split(","))
+                except ValueError as exc:
+                    raise ValidationError(f"{csv_path}: malformed row {line!r}") from exc
+                rows.append((mu, t, emf, elf))
+        if not rows:
+            raise ValidationError("no report rows found")
+        arr = np.asarray(rows)
+        nan = float("nan")
+        return cls(float(arr[:, 2].mean()), float(arr[:, 3].mean()), nan, nan, nan,
+                   arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 
     def summary(self) -> str:
         lines = [
@@ -157,18 +185,24 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def offline_train(
+@dataclass
+class OfflineData:
+    """Offline stages 1-3: basis, lift recipe and both aligned coefficient series."""
+
+    basis: PodBasis
+    lift_spec: LiftSpec
+    stencil: np.ndarray
+    coef_hf: CoefficientSeries
+    coef_lf: CoefficientSeries
+
+
+def offline_prepare(
     hf: SnapshotSet,
     lf: SnapshotSet,
     pod_rule: PodRule,
-    train_cfg,
     spatial_mode: str = "bilinear",
-    problem: str | None = None,
-    hf_profile: FidelityProfile | None = None,
-    lf_profile: FidelityProfile | None = None,
-    val_every: int = 1,
-) -> SurrogateModel:
-    """Run the four offline stages and assemble the deployable surrogate."""
+) -> OfflineData:
+    """Build the basis from HF alone, then project HF and lift-project LF onto it."""
     if hf.data.size == 0 or hf.n_mu < 1:
         raise ValidationError("high-fidelity snapshot set is empty")
     if hf.params.shape != lf.params.shape or not np.allclose(
@@ -187,7 +221,23 @@ def offline_train(
     coef_hf = project(basis, hf)
     stencil = reduced_stencil(basis, spec)
     coef_lf = lift_project(lf, spec, basis, stencil=stencil)
-    lstm = train(coef_lf, coef_hf, train_cfg, val_every=val_every)
+    return OfflineData(basis, spec, stencil, coef_hf, coef_lf)
+
+
+def offline_train(
+    hf: SnapshotSet,
+    lf: SnapshotSet,
+    pod_rule: PodRule,
+    train_cfg,
+    spatial_mode: str = "bilinear",
+    problem: str | None = None,
+    hf_profile: FidelityProfile | None = None,
+    lf_profile: FidelityProfile | None = None,
+    val_every: int = 1,
+) -> SurrogateModel:
+    """Run the four offline stages and assemble the deployable surrogate."""
+    data = offline_prepare(hf, lf, pod_rule, spatial_mode)
+    lstm = train(data.coef_lf, data.coef_hf, train_cfg, val_every=val_every)
     provenance = Provenance(
         problem=problem,
         hf_profile=hf_profile,
@@ -196,8 +246,8 @@ def offline_train(
         param_lo=float(hf.params[:, 0].min()),
         param_hi=float(hf.params[:, 0].max()),
     )
-    return SurrogateModel(basis=basis, lift_spec=spec, lstm=lstm, provenance=provenance,
-                          stencil=stencil)
+    return SurrogateModel(basis=data.basis, lift_spec=data.lift_spec, lstm=lstm,
+                          provenance=provenance, stencil=data.stencil)
 
 
 def _hf_step(model: SurrogateModel) -> float:
@@ -378,10 +428,6 @@ def evaluate(
 # persistence
 # ---------------------------------------------------------------------------
 
-def _dump_f64(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def _basis_to_bytes(basis: PodBasis) -> bytes:
     parts = [_BASIS_MAGIC]
     parts.append(
@@ -399,64 +445,39 @@ def _basis_to_bytes(basis: PodBasis) -> bytes:
     parts.append(struct.pack("<d", basis.grid.L))
     if basis.eps_pod is not None:
         parts.append(struct.pack("<d", basis.eps_pod))
-    parts.append(_dump_f64(basis.sigma))
-    parts.append(np.asfortranarray(basis.modes, dtype="<f8").tobytes(order="F"))
+    parts.append(dump_f64(basis.sigma))
+    parts.append(dump_f64(basis.modes, order="F"))
     if basis.snapshot_mean is not None:
-        parts.append(_dump_f64(basis.snapshot_mean))
-    for name in basis.field_names:
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
+        parts.append(dump_f64(basis.snapshot_mean))
+    parts.extend(utf8_bytes(name) for name in basis.field_names)
     return b"".join(parts)
 
 
-class _BlockReader:
-    def __init__(self, buf: bytes, what: str):
-        self.buf = buf
-        self.pos = 0
-        self.what = what
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.buf):
-            raise FormatError(f"truncated {self.what} block")
-        out = self.buf[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def u32(self, count: int = 1):
-        vals = struct.unpack(f"<{count}I", self.take(4 * count))
-        return vals[0] if count == 1 else vals
-
-    def f64(self, count: int = 1):
-        vals = struct.unpack(f"<{count}d", self.take(8 * count))
-        return vals[0] if count == 1 else vals
-
-    def f64_array(self, size: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * size), dtype="<f8").copy()
-
-
-def _basis_from_bytes(buf: bytes) -> PodBasis:
-    reader = _BlockReader(buf, "basis")
+def _basis_from_bytes(buf) -> PodBasis:
+    reader = Reader(buf, "basis")
     if reader.take(8) != _BASIS_MAGIC:
         raise FormatError("bad basis block magic")
     n_dof, n_pod, n_sigma, n_grid, n_fields, has_mean, has_eps = reader.u32(7)
+    if n_pod < 1 or n_dof != n_fields * n_grid**2:
+        raise FormatError(
+            f"basis block declares {n_pod} modes of {n_dof} rows, which is not "
+            f"field_count * n^2 = {n_fields} * {n_grid}^2 rows and at least one mode"
+        )
     length = reader.f64()
     eps = reader.f64() if has_eps else None
     sigma = reader.f64_array(n_sigma)
-    modes = reader.f64_array(n_dof * n_pod).reshape((n_dof, n_pod), order="F")
+    modes = reader.f64_array((n_dof, n_pod), order="F")
     mean = reader.f64_array(n_dof) if has_mean else None
-    names = []
-    for _ in range(n_fields):
-        n_bytes = reader.u32()
-        names.append(reader.take(n_bytes).decode("utf-8"))
+    names = tuple(reader.utf8() for _ in range(n_fields))
+    reader.done()
     return PodBasis(
-        modes=np.asfortranarray(modes),
+        modes=modes,
         sigma=sigma,
         n_pod=n_pod,
         eps_pod=eps,
         snapshot_mean=mean,
         grid=Grid2D(n_grid, length),
-        field_names=tuple(names),
+        field_names=names,
     )
 
 
@@ -476,18 +497,19 @@ def _lift_to_bytes(spec: LiftSpec) -> bytes:
                 spec.dst_times.size,
             ),
             struct.pack("<2d", spec.src_grid.L, spec.dst_grid.L),
-            _dump_f64(spec.dst_times),
+            dump_f64(spec.dst_times),
         ]
     )
 
 
-def _lift_from_bytes(buf: bytes) -> LiftSpec:
-    reader = _BlockReader(buf, "lift spec")
+def _lift_from_bytes(buf) -> LiftSpec:
+    reader = Reader(buf, "lift spec")
     if reader.take(8) != _LIFT_MAGIC:
         raise FormatError("bad lift block magic")
     mode, src_n, dst_n, n_times = reader.u32(4)
     src_l, dst_l = reader.f64(2)
     times = reader.f64_array(n_times)
+    reader.done()
     if mode not in _MODE_NAMES:
         raise FormatError(f"unknown lift mode code {mode}")
     return LiftSpec(
@@ -511,7 +533,7 @@ def _profile_to_bytes(profile: FidelityProfile | None) -> bytes:
     )
 
 
-def _profile_from_reader(reader: _BlockReader) -> FidelityProfile | None:
+def _profile_from_reader(reader: Reader) -> FidelityProfile | None:
     present = reader.u32()
     if not present:
         return None
@@ -526,8 +548,7 @@ def _profile_from_reader(reader: _BlockReader) -> FidelityProfile | None:
 
 
 def _provenance_to_bytes(prov: Provenance) -> bytes:
-    problem = (prov.problem or "").encode("utf-8")
-    parts = [_PROV_MAGIC, struct.pack("<I", len(problem)), problem]
+    parts = [_PROV_MAGIC, utf8_bytes(prov.problem or "")]
     parts.append(_profile_to_bytes(prov.hf_profile))
     parts.append(_profile_to_bytes(prov.lf_profile))
     nan = float("nan")
@@ -542,15 +563,15 @@ def _provenance_to_bytes(prov: Provenance) -> bytes:
     return b"".join(parts)
 
 
-def _provenance_from_bytes(buf: bytes) -> Provenance:
-    reader = _BlockReader(buf, "provenance")
+def _provenance_from_bytes(buf) -> Provenance:
+    reader = Reader(buf, "provenance")
     if reader.take(8) != _PROV_MAGIC:
         raise FormatError("bad provenance block magic")
-    n_problem = reader.u32()
-    problem = reader.take(n_problem).decode("utf-8") or None
+    problem = reader.utf8() or None
     hf_profile = _profile_from_reader(reader)
     lf_profile = _profile_from_reader(reader)
     t_train, lo, hi = reader.f64(3)
+    reader.done()
     return Provenance(
         problem=problem,
         hf_profile=hf_profile,
@@ -562,21 +583,17 @@ def _provenance_from_bytes(buf: bytes) -> Provenance:
 
 
 def save_model(model: SurrogateModel, path: str | Path) -> None:
-    """Persist the composite surrogate; round trips are bit-exact."""
+    """Persist the composite surrogate atomically; round trips are bit-exact."""
     blocks = [
         _basis_to_bytes(model.basis),
         _lift_to_bytes(model.lift_spec),
         lstm_to_bytes(model.lstm),
         _provenance_to_bytes(model.provenance),
     ]
-    try:
-        with open(path, "wb") as fh:
-            fh.write(SURROGATE_MAGIC)
-            for block in blocks:
-                fh.write(struct.pack("<Q", len(block)))
-                fh.write(block)
-    except OSError as exc:
-        raise StorageError(f"cannot write model to {path}: {exc}") from exc
+    parts = [SURROGATE_MAGIC]
+    for block in blocks:
+        parts += [struct.pack("<Q", len(block)), block]
+    write_atomic(path, parts, "model")
 
 
 def load_model(path: str | Path) -> SurrogateModel:
@@ -585,17 +602,14 @@ def load_model(path: str | Path) -> SurrogateModel:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise StorageError(f"cannot read model from {path}: {exc}") from exc
-    reader = _BlockReader(raw, "surrogate container")
+    reader = Reader(raw, "surrogate container")
     if reader.take(8) != SURROGATE_MAGIC:
         raise FormatError("bad surrogate file magic")
-    blocks = []
-    for _ in range(4):
-        (size,) = struct.unpack("<Q", reader.take(8))
-        blocks.append(reader.take(size))
-    if reader.pos != len(raw):
-        raise FormatError("trailing bytes after surrogate container")
-    basis = _basis_from_bytes(blocks[0])
-    spec = _lift_from_bytes(blocks[1])
-    lstm = lstm_from_bytes(blocks[2])
-    provenance = _provenance_from_bytes(blocks[3])
-    return SurrogateModel(basis=basis, lift_spec=spec, lstm=lstm, provenance=provenance)
+    blocks = [reader.take(reader.u64()) for _ in range(4)]
+    reader.done()
+    return SurrogateModel(
+        basis=_basis_from_bytes(blocks[0]),
+        lift_spec=_lift_from_bytes(blocks[1]),
+        lstm=lstm_from_bytes(blocks[2]),
+        provenance=_provenance_from_bytes(blocks[3]),
+    )

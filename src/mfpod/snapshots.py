@@ -18,12 +18,14 @@ MFSNAP binary layout (all integers u32 LE, floats f64 LE):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .codec import Reader, dump_f64, utf8_bytes, write_atomic
 from .errors import DataError, FormatError, ShapeError, StorageError, ValidationError
 from .numerics import Grid2D
 
@@ -131,74 +133,68 @@ def mfsnap_file_size(n_dof: int, n_t: int, n_mu: int, p: int,
 
 
 def write_snapshots(snaps: SnapshotSet, path: str | Path) -> None:
-    """Persist a snapshot set in MFSNAP format (bit-exact round trip)."""
+    """Persist a snapshot set in MFSNAP format (bit-exact round trip, atomic)."""
     header = MAGIC + struct.pack(
-        "<6I",
+        "<7I",
         snaps.n_dof,
         snaps.n_t,
         snaps.n_mu,
         snaps.p,
         snaps.grid.n,
         len(snaps.field_names),
+        _FIDELITY_CODES[snaps.fidelity],
     )
-    header += struct.pack("<I", _FIDELITY_CODES[snaps.fidelity])
     header += b"\x00" * (HEADER_SIZE - len(header))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(struct.pack("<d", snaps.grid.L))
-            fh.write(snaps.times.astype("<f8").tobytes())
-            fh.write(snaps.params.astype("<f8").tobytes())
-            for name in snaps.field_names:
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-            fh.write(snaps.data.astype("<f8").tobytes(order="F"))
-    except OSError as exc:
-        raise StorageError(f"cannot write snapshots to {path}: {exc}") from exc
-
-
-def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise FormatError(f"truncated MFSNAP file while reading {what}")
-    return buf
+    parts = [
+        header,
+        struct.pack("<d", snaps.grid.L),
+        dump_f64(snaps.times),
+        dump_f64(snaps.params),
+        *(utf8_bytes(name) for name in snaps.field_names),
+        dump_f64(snaps.data, order="F"),
+    ]
+    write_atomic(path, parts, "snapshots")
 
 
 def read_snapshots(path: str | Path) -> SnapshotSet:
-    """Load and validate an MFSNAP file."""
+    """Load and validate an MFSNAP file.
+
+    The header's dimensions are checked against the real file size before
+    anything is allocated, and the payload is used in place, without a copy.
+    """
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = Reader(fh.read(HEADER_SIZE), "MFSNAP header")
+            magic = bytes(header.take(8))
+            if magic != MAGIC:
+                raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            n_dof, n_t, n_mu, p, n_grid, field_count, fid_code = header.u32(7)
+            if fid_code not in _FIDELITY_NAMES:
+                raise FormatError(f"unknown fidelity code {fid_code}")
+            least = mfsnap_file_size(n_dof, n_t, n_mu, p, ()) + 4 * field_count
+            if least > size:
+                raise FormatError(
+                    f"MFSNAP header declares at least {least} bytes, but {path} "
+                    f"holds {size}"
+                )
+            payload_size = 8 * n_dof * n_mu * n_t
+            meta = Reader(fh.read(size - HEADER_SIZE - payload_size), "MFSNAP metadata")
+            length = meta.f64()
+            times = meta.f64_array(n_t)
+            params = meta.f64_array((n_mu, p))
+            names = tuple(meta.utf8() for _ in range(field_count))
+            meta.done()
+            payload = Reader(fh.read(payload_size), "MFSNAP payload").take(payload_size)
     except OSError as exc:
-        raise StorageError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        header = _read_exact(fh, HEADER_SIZE, "header")
-        if header[:8] != MAGIC:
-            raise FormatError(f"bad magic {header[:8]!r}, expected {MAGIC!r}")
-        n_dof, n_t, n_mu, p, n_grid, field_count = struct.unpack_from("<6I", header, 8)
-        (fid_code,) = struct.unpack_from("<I", header, 32)
-        if fid_code not in _FIDELITY_NAMES:
-            raise FormatError(f"unknown fidelity code {fid_code}")
-        (length,) = struct.unpack("<d", _read_exact(fh, 8, "domain length"))
-        times = np.frombuffer(_read_exact(fh, 8 * n_t, "times"), dtype="<f8")
-        params = np.frombuffer(
-            _read_exact(fh, 8 * n_mu * p, "params"), dtype="<f8"
-        ).reshape(n_mu, p)
-        names = []
-        for i in range(field_count):
-            (n_bytes,) = struct.unpack("<I", _read_exact(fh, 4, f"field name {i} length"))
-            names.append(_read_exact(fh, n_bytes, f"field name {i}").decode("utf-8"))
-        payload = _read_exact(fh, 8 * n_dof * n_mu * n_t, "payload")
-        if fh.read(1):
-            raise FormatError("trailing bytes after MFSNAP payload")
-    data = np.frombuffer(payload, dtype="<f8").reshape((n_dof, n_mu * n_t), order="F")
+        raise StorageError(f"cannot read snapshots from {path}: {exc}") from exc
     return SnapshotSet(
         fidelity=_FIDELITY_NAMES[fid_code],
-        data=data,
+        data=np.frombuffer(payload, dtype="<f8").reshape((n_dof, n_mu * n_t), order="F"),
         grid=Grid2D(n_grid, length),
         times=times,
         params=params,
-        field_names=tuple(names),
+        field_names=names,
     )
 
 

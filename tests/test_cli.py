@@ -155,6 +155,18 @@ def test_train_seed_env_override(workspace, tmp_path, monkeypatch):
     assert out_env.read_bytes() != (workspace / "model.mfsurr").read_bytes()
 
 
+def test_train_forged_snapshot_header_exits_2(workspace, tmp_path, capsys):
+    forged = bytearray((workspace / "hf.mfsnap").read_bytes())
+    forged[8:12] = (1 << 31).to_bytes(4, "little")  # n_dof
+    hf = tmp_path / "forged.mfsnap"
+    hf.write_bytes(bytes(forged))
+    assert main(["train", "--config", str(workspace / "cfg.json"),
+                 "--hf", str(hf), "--lf", str(workspace / "lf.mfsnap"),
+                 "--out", str(tmp_path / "model.mfsurr")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_train_seventeen_mode_vorticity_model(tmp_path):
     cfg = write_config(
         tmp_path / "sw.json",
@@ -289,6 +301,14 @@ def test_report_rejects_non_report_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["report", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("text", ["", "mu,t,err_mf_percent,err_lf_percent\n0.5,x,1,2\n"])
+def test_report_rejects_empty_or_malformed_csv(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["report", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

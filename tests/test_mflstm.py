@@ -21,8 +21,6 @@ from mfpod.mflstm import (
     lstm_to_bytes,
     predict,
     static_forward,
-    static_from_bytes,
-    static_to_bytes,
     train,
     train_static_baseline,
 )
@@ -395,16 +393,6 @@ def test_lstm_serialization_round_trip_bit_exact():
     assert lstm_to_bytes(back) == blob
     seq = np.random.default_rng(31).standard_normal((6, model.layout.n_features))
     assert np.array_equal(lstm_forward(model, seq), lstm_forward(back, seq))
-
-
-def test_static_serialization_round_trip_bit_exact():
-    lf, hf = series_pair(n_mu=2, n_t=32, n_coef=2, seed=32)
-    model = train_static_baseline(
-        lf, hf, TrainConfig(hidden=6, n_layers=2, k_window=8, epochs=10, seed=0)
-    )
-    blob = static_to_bytes(model)
-    back = static_from_bytes(blob)
-    assert static_to_bytes(back) == blob
 
 
 def test_lstm_deserialization_rejects_corruption():
