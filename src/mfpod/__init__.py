@@ -28,7 +28,6 @@ from .mflstm import (
     StaticModel,
     TrainConfig,
     hyperparameter_search,
-    lstm_forward,
     predict,
     train,
     train_static_baseline,

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
+from .codec import write_atomic
 from .errors import (
     CoverageError,
     InstabilityError,
@@ -147,6 +148,10 @@ def _check_out(path: str, no_overwrite: bool) -> None:
         raise ValidationError(f"output {path} already exists and --no-overwrite is set")
 
 
+def _write_text(path: str, text: str, what: str) -> None:
+    write_atomic(path, [text.encode("utf-8")], what)
+
+
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
     problem = args.problem or _require(cfg, "problem")
@@ -162,7 +167,7 @@ def cmd_generate(args) -> int:
         t_end = float(_require(cfg, "t_final"))
     _check_out(args.out, args.no_overwrite)
     t0 = time.perf_counter()
-    snaps = generate_dataset(problem, profile, values, t_end, workers=args.threads)
+    snaps = generate_dataset(problem, profile, values, t_end)
     write_snapshots(snaps, args.out)
     wall = time.perf_counter() - t0
     print(
@@ -194,7 +199,7 @@ def cmd_train(args) -> int:
         lines = ["epoch,train_loss,val_loss"]
         for epoch, train_loss, val_loss in model.lstm.history:
             lines.append(f"{epoch},{train_loss!r},{val_loss!r}")
-        Path(args.log).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(args.log, "\n".join(lines) + "\n", "training log")
     print(
         f"wrote {args.out}: {model.basis.n_pod}-mode basis, "
         f"{len(model.lstm.layers)}-layer network, trained in {wall:.2f}s"
@@ -213,7 +218,7 @@ def _coef_csv(path, times, blocks):
         for _, arr in blocks:
             row.extend(repr(float(v)) for v in arr[:, j])
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n", "coefficient CSV")
 
 
 def cmd_predict(args) -> int:
@@ -259,7 +264,7 @@ def cmd_evaluate(args) -> int:
     report.to_csv(args.out)
     summary = report.summary()
     if args.summary:
-        Path(args.summary).write_text(summary + "\n", encoding="utf-8")
+        _write_text(args.summary, summary + "\n", "summary")
     print(summary)
     print(f"wrote {args.out}")
     return 0
@@ -287,13 +292,13 @@ def cmd_search(args) -> int:
         seed=_seed(cfg),
     )
     best = {f.name: getattr(best_cfg, f.name) for f in dataclass_fields(TrainConfig)}
-    Path(args.out).write_text(json.dumps({"train": best}, indent=2) + "\n", encoding="utf-8")
+    _write_text(args.out, json.dumps({"train": best}, indent=2) + "\n", "best config")
     if args.log:
         keys = sorted({k for t in trials for k in t})
         lines = [",".join(keys)]
         for t in trials:
             lines.append(",".join(repr(t.get(k, "")) for k in keys))
-        Path(args.log).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(args.log, "\n".join(lines) + "\n", "trial log")
     best_loss = min(t["val_loss"] for t in trials)
     print(f"ran {len(trials)} trials; best held-out loss {best_loss!r}; wrote {args.out}")
     return 0
@@ -312,7 +317,7 @@ def cmd_report(args) -> int:
         lines_out.append(f"    mu = {mu:g}: surrogate {emf:.2f}%   lifted LF {elf:.2f}%")
     text = "\n".join(lines_out)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write_text(args.out, text + "\n", "report")
     print(text)
     return 0
 
@@ -331,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--role", choices=["train", "test"], default="train")
     gen.add_argument("--out", required=True)
     gen.add_argument("--no-overwrite", action="store_true")
-    gen.add_argument("--threads", type=int, default=1)
     gen.set_defaults(func=cmd_generate)
 
     tr = sub.add_parser("train", help="train a surrogate from snapshot files")

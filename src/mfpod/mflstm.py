@@ -29,9 +29,13 @@ with zero hidden layers it degenerates to linear regression.
 Both models train through one loop, ``_fit``: seeded shuffles, mini-batch
 Adam, the divergence check and best-held-out-weights tracking. Each model
 supplies only its features, initial weights and a batch loss-and-gradient
-closure. The LSTM's closure is ``_sse_grads``, which ``sequence_loss_grads``
-runs too, so the finite-difference checks test the code training runs. The
-LSTM persists as an MFLSTM01 block through ``codec``.
+closure. The LSTM's closure is ``_sse_grads``; the finite-difference checks
+in the test suite call it directly, so they test the code training runs.
+
+Each LSTM layer is one stacked (4H, H + D) gate matrix and one (4H,) bias in
+gate order f, u, o, c: the layout of the kernels, the initialiser, Adam and
+the MFLSTM01 block, which persists through ``codec``. ``predict`` is the one
+forward pass.
 """
 
 from __future__ import annotations
@@ -99,33 +103,13 @@ class FeatureLayout:
 
 @dataclass
 class LstmLayerWeights:
-    """Gate weights (hidden x (hidden + layer input)) and biases."""
+    """Gate weights (4H, H + D) over [h_{n-1}, x_n] and biases (4H,).
 
-    w_f: np.ndarray
-    w_u: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-    b_f: np.ndarray
-    b_u: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    Row blocks of H follow the gate order f, u, o, c.
+    """
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(4H, H+D) weight and (4H,) bias stacks in gate order f, u, o, c."""
-        return (
-            np.vstack([self.w_f, self.w_u, self.w_o, self.w_c]),
-            np.concatenate([self.b_f, self.b_u, self.b_o, self.b_c]),
-        )
-
-    @classmethod
-    def from_stacked(cls, w_all: np.ndarray, b_all: np.ndarray) -> "LstmLayerWeights":
-        h = w_all.shape[0] // 4
-        return cls(
-            w_f=w_all[:h].copy(), w_u=w_all[h : 2 * h].copy(),
-            w_o=w_all[2 * h : 3 * h].copy(), w_c=w_all[3 * h :].copy(),
-            b_f=b_all[:h].copy(), b_u=b_all[h : 2 * h].copy(),
-            b_o=b_all[2 * h : 3 * h].copy(), b_c=b_all[3 * h :].copy(),
-        )
+    w: np.ndarray
+    b: np.ndarray
 
 
 @dataclass
@@ -197,13 +181,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # forward / backward on stacked parameters
 # ---------------------------------------------------------------------------
 
-def _forward_stacked(stacked, readout, x_seq, need_cache=False):
+def _forward_stacked(layers, readout, x_seq, need_cache=False):
     """Run the LSTM stack over x_seq (T, B, D); returns outputs and caches."""
     w_out, b_out = readout
     n_steps, n_batch, _ = x_seq.shape
     inputs = x_seq
     caches = []
-    for w_all, b_all in stacked:
+    for layer in layers:
+        w_all, b_all = layer.w, layer.b
         h4 = w_all.shape[0]
         h = h4 // 4
         z_cache = np.empty((n_steps, n_batch, w_all.shape[1]))
@@ -236,8 +221,8 @@ def _forward_stacked(stacked, readout, x_seq, need_cache=False):
     return (y, (caches, inputs)) if need_cache else (y, None)
 
 
-def _backward_stacked(stacked, readout, cache, d_y):
-    """BPTT gradients for the stacked parameters given dLoss/dOutputs."""
+def _backward_stacked(layers, readout, cache, d_y):
+    """BPTT gradients for the layer parameters given dLoss/dOutputs."""
     w_out, _ = readout
     caches, h_top = cache
     d_w_out = np.einsum("tbo,tbh->oh", d_y, h_top)
@@ -245,9 +230,9 @@ def _backward_stacked(stacked, readout, cache, d_y):
     d_hidden = d_y @ w_out
 
     n_steps, n_batch, _ = d_y.shape
-    layer_grads = [None] * len(stacked)
-    for li in range(len(stacked) - 1, -1, -1):
-        w_all, _ = stacked[li]
+    layer_grads = [None] * len(layers)
+    for li in range(len(layers) - 1, -1, -1):
+        w_all = layers[li].w
         h = w_all.shape[0] // 4
         d_in = w_all.shape[1] - h
         z_cache, gf, gu, go, ctil, cell, tcell = caches[li]
@@ -282,31 +267,6 @@ def _backward_stacked(stacked, readout, cache, d_y):
         layer_grads[li] = (d_w, d_b)
         d_hidden = d_below
     return layer_grads, d_w_out, d_b_out
-
-
-def _model_stacked(model: LstmModel):
-    return [layer.stacked() for layer in model.layers]
-
-
-def lstm_forward(model: LstmModel, sequence: np.ndarray) -> np.ndarray:
-    """Full forward pass over one already-normalized input sequence.
-
-    ``sequence`` is (n_steps, n_features); initial states are zero. Returns
-    the denormalized readout of the top hidden state at every step.
-    """
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 2 or sequence.shape[1] != model.layout.n_features:
-        raise ShapeError(
-            f"sequence must be (n_steps, {model.layout.n_features}), got {sequence.shape}"
-        )
-    for layer in model.layers:
-        w_all, _ = layer.stacked()
-        if not np.all(np.isfinite(w_all)):
-            raise ValidationError("model weights contain non-finite values")
-    y, _ = _forward_stacked(
-        _model_stacked(model), (model.w_out, model.b_out), sequence[:, None, :]
-    )
-    return model.output_norm.decode(y[:, 0, :])
 
 
 def static_forward(model: StaticModel, x: np.ndarray) -> np.ndarray:
@@ -375,18 +335,18 @@ def _window_starts(n_train_t: int, k: int) -> list[int]:
 
 
 def _init_lstm_params(cfg: TrainConfig, d_in: int, n_out: int, rng) -> tuple[list, tuple]:
-    stacked = []
+    layers = []
     for li in range(cfg.n_layers):
         d_layer = d_in if li == 0 else cfg.hidden
         limit = 1.0 / np.sqrt(cfg.hidden + d_layer)
         w_all = rng.uniform(-limit, limit, size=(4 * cfg.hidden, cfg.hidden + d_layer))
         b_all = np.zeros(4 * cfg.hidden)
         b_all[: cfg.hidden] = 1.0  # forget-gate bias; aids gradient flow early on
-        stacked.append((w_all, b_all))
+        layers.append(LstmLayerWeights(w_all, b_all))
     limit = 1.0 / np.sqrt(cfg.hidden)
     w_out = rng.uniform(-limit, limit, size=(n_out, cfg.hidden))
     b_out = np.zeros(n_out)
-    return stacked, (w_out, b_out)
+    return layers, (w_out, b_out)
 
 
 def _fit(cfg: TrainConfig, rng, params: list[np.ndarray], n_items: int, batch_size: int,
@@ -436,18 +396,18 @@ def _fit(cfg: TrainConfig, rng, params: list[np.ndarray], n_items: int, batch_si
     return best, history
 
 
-def _sse_grads(stacked, readout, scale_sq, x, y) -> tuple[float, list[np.ndarray]]:
+def _sse_grads(layers, readout, scale_sq, x, y) -> tuple[float, list[np.ndarray]]:
     """Summed squared error in physical units over normalized (T, B, .) x and y.
 
-    The gradients are of the mean over T * B, in the order of ``stacked``
-    then the readout.
+    The gradients are of the mean over T * B, in the order w, b of every
+    layer, then the readout's w_out, b_out.
     """
-    y_pred, cache = _forward_stacked(stacked, readout, x, need_cache=True)
+    y_pred, cache = _forward_stacked(layers, readout, x, need_cache=True)
     n_steps, n_batch, _ = x.shape
     resid = y_pred - y
     sse = float((resid**2 * scale_sq).sum())
     d_y = (2.0 / (n_steps * n_batch)) * resid * scale_sq
-    layer_grads, d_w_out, d_b_out = _backward_stacked(stacked, readout, cache, d_y)
+    layer_grads, d_w_out, d_b_out = _backward_stacked(layers, readout, cache, d_y)
     return sse, [arr for pair in layer_grads for arr in pair] + [d_w_out, d_b_out]
 
 
@@ -484,8 +444,8 @@ def train(
     y_win = np.stack([y_all[i, s : s + cfg.k_window] for i, s in windows])
 
     rng = np.random.default_rng(cfg.seed)
-    stacked, readout = _init_lstm_params(cfg, layout.n_features, targets.shape[2], rng)
-    flat = [arr for pair in stacked for arr in pair] + list(readout)
+    layers, readout = _init_lstm_params(cfg, layout.n_features, targets.shape[2], rng)
+    flat = [arr for layer in layers for arr in (layer.w, layer.b)] + list(readout)
 
     x_full = x_all.transpose(1, 0, 2)
     y_full = y_all.transpose(1, 0, 2)
@@ -494,21 +454,19 @@ def train(
     scale_sq = out_norm.std**2
 
     def batch_sse_grads(idx):
-        return _sse_grads(stacked, readout, scale_sq,
+        return _sse_grads(layers, readout, scale_sq,
                           x_win[idx].transpose(1, 0, 2), y_win[idx].transpose(1, 0, 2))
 
     def validation_loss() -> float:
-        y_pred, _ = _forward_stacked(stacked, readout, x_full)
+        y_pred, _ = _forward_stacked(layers, readout, x_full)
         resid = y_pred[n_train_t:] - y_full[n_train_t:]
         return float((resid**2 * scale_sq).sum() / (n_val * n_mu))
 
     best, history = _fit(cfg, rng, flat, len(windows), cfg.n_batch, batch_sse_grads,
                          cfg.k_window * len(windows), validation_loss if n_val else None,
                          val_every)
-    layers = [LstmLayerWeights.from_stacked(best[2 * li], best[2 * li + 1])
-              for li in range(cfg.n_layers)]
     return LstmModel(
-        layers=layers,
+        layers=[LstmLayerWeights(best[2 * li], best[2 * li + 1]) for li in range(cfg.n_layers)],
         w_out=best[-2],
         b_out=best[-1],
         input_norm=in_norm,
@@ -586,7 +544,8 @@ def predict(
 
     Each parameter trajectory is processed as one full sequence from zero
     initial states (recurrent model) or column by column (static baseline).
-    Times may extend past the training horizon.
+    Times may extend past the training horizon. A recurrent model with
+    non-finite weights is rejected.
     """
     if np.any(np.diff(series.times) <= 0):
         raise ValidationError("prediction times must be strictly increasing")
@@ -603,11 +562,9 @@ def predict(
     features = _feature_tensor(series, with_time=model.layout.with_time)
     xn = model.input_norm.encode(features)
     if isinstance(model, LstmModel):
-        y, _ = _forward_stacked(
-            _model_stacked(model),
-            (model.w_out, model.b_out),
-            xn.transpose(1, 0, 2),
-        )
+        if not all(np.all(np.isfinite(layer.w)) for layer in model.layers):
+            raise ValidationError("model weights contain non-finite values")
+        y, _ = _forward_stacked(model.layers, (model.w_out, model.b_out), xn.transpose(1, 0, 2))
         out = model.output_norm.decode(y)  # (n_t, n_mu, n_out)
         coeffs = np.concatenate([out[:, i, :].T for i in range(series.n_mu)], axis=1)
     else:
@@ -615,57 +572,6 @@ def predict(
         pred = static_forward(model, flat_rows).reshape(series.n_mu, series.n_t, -1)
         coeffs = np.concatenate([pred[i].T for i in range(series.n_mu)], axis=1)
     return CoefficientSeries(coeffs=coeffs, times=series.times, params=series.params)
-
-
-# ---------------------------------------------------------------------------
-# loss/gradient entry points used by the finite-difference checks
-# ---------------------------------------------------------------------------
-
-def trainable_parameters(model: LstmModel) -> list[tuple[str, np.ndarray]]:
-    """Named references to every trainable array (mutating them is allowed)."""
-    out = []
-    for li, layer in enumerate(model.layers):
-        for gate in ("f", "u", "o", "c"):
-            out.append((f"layer{li}.w_{gate}", getattr(layer, f"w_{gate}")))
-            out.append((f"layer{li}.b_{gate}", getattr(layer, f"b_{gate}")))
-    out.append(("w_out", model.w_out))
-    out.append(("b_out", model.b_out))
-    return out
-
-
-def sequence_loss(model: LstmModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared 2-norm of the residual in physical coefficient units.
-
-    ``x`` and ``y`` are normalized; the residual is scaled back by the
-    output stddev so the objective matches the raw-coefficient error the
-    surrogate is judged by.
-    """
-    y_pred, _ = _forward_stacked(_model_stacked(model), (model.w_out, model.b_out), x)
-    n_steps, n_batch, _ = x.shape
-    resid = (y_pred - y) * model.output_norm.std
-    return float((resid**2).sum() / (n_steps * n_batch))
-
-
-def sequence_loss_grads(
-    model: LstmModel, x: np.ndarray, y: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus analytic gradients keyed like ``trainable_parameters``.
-
-    Runs the same loss-and-gradient code as every training step of ``train``.
-    """
-    n_steps, n_batch, _ = x.shape
-    sse, flat = _sse_grads(_model_stacked(model), (model.w_out, model.b_out),
-                           model.output_norm.std**2, x, y)
-    h = model.hidden
-    grads: dict[str, np.ndarray] = {}
-    for li in range(len(model.layers)):
-        d_w, d_b = flat[2 * li], flat[2 * li + 1]
-        for gi, gate in enumerate(("f", "u", "o", "c")):
-            grads[f"layer{li}.w_{gate}"] = d_w[gi * h : (gi + 1) * h]
-            grads[f"layer{li}.b_{gate}"] = d_b[gi * h : (gi + 1) * h]
-    grads["w_out"] = flat[-2]
-    grads["b_out"] = flat[-1]
-    return sse / (n_steps * n_batch), grads
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +665,8 @@ def lstm_to_bytes(model: LstmModel) -> bytes:
     )
     parts.append(struct.pack("<I", int(model.layout.with_time)))
     for layer in model.layers:
-        for name in ("w_f", "w_u", "w_o", "w_c", "b_f", "b_u", "b_o", "b_c"):
-            parts.append(dump_f64(getattr(layer, name)))
+        parts.append(dump_f64(layer.w))
+        parts.append(dump_f64(layer.b))
     parts.append(dump_f64(model.w_out))
     parts.append(dump_f64(model.b_out))
     parts.append(dump_f64(model.input_norm.mean))
@@ -784,9 +690,8 @@ def lstm_from_bytes(buf) -> LstmModel:
     layers = []
     for li in range(n_layers):
         d_layer = d_in if li == 0 else hidden
-        ws = [reader.f64_array((hidden, hidden + d_layer)) for _ in range(4)]
-        bs = [reader.f64_array((hidden,)) for _ in range(4)]
-        layers.append(LstmLayerWeights(*ws, *bs))
+        w = reader.f64_array((4 * hidden, hidden + d_layer))
+        layers.append(LstmLayerWeights(w, reader.f64_array(4 * hidden)))
     w_out = reader.f64_array((n_out, hidden))
     b_out = reader.f64_array((n_out,))
     in_norm = Normalizer(reader.f64_array((d_in,)), reader.f64_array((d_in,)))

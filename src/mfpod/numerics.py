@@ -64,10 +64,6 @@ def require_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def vec_to_field(vec: np.ndarray, n: int) -> np.ndarray:
-    return np.reshape(vec, (n, n), order="F")
-
-
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``A = U @ diag(sigma) @ V.T`` with sigma descending.
 

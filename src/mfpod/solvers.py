@@ -26,7 +26,6 @@ identical configs give bit-identical output.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,31 +279,19 @@ def generate_dataset(
     profile: FidelityProfile,
     params: ParameterGrid | np.ndarray,
     T: float,
-    workers: int = 1,
 ) -> SnapshotSet:
-    """Run the solver at every parameter value and assemble a SnapshotSet.
-
-    Trajectories are independent jobs; with ``workers > 1`` they run in a
-    thread pool, but assembly order is always by parameter index so the
-    result does not depend on scheduling.
-    """
+    """Run the solver at every parameter value, in order, and assemble a SnapshotSet."""
     values = params.values if isinstance(params, ParameterGrid) else np.asarray(params, float)
     if values.ndim != 1 or values.size < 1:
         raise ValidationError("parameter values must be a nonempty 1-D vector")
     grid = problem_grid(problem, profile.n)
 
-    def run(mu: float):
+    results = []
+    for mu in values:
         try:
-            return _solve_one(problem, profile, float(mu), T)
+            results.append(_solve_one(problem, profile, float(mu), T))
         except InstabilityError as exc:
             raise InstabilityError(f"mu = {mu:g}: {exc}") from exc
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, values))
-    else:
-        results = [run(mu) for mu in values]
-
     times = results[0][0]
     n_dof = results[0][1].shape[0]
     data = np.empty((n_dof, values.size * times.size), dtype=np.float64, order="F")

@@ -311,6 +311,38 @@ def test_report_rejects_empty_or_malformed_csv(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["report", "predict", "evaluate", "train",
+                                     "search-out", "search-log"])
+def test_unwritable_text_output_exits_2(workspace, tmp_path, capsys, command):
+    missing = str(tmp_path / "missing" / "out.txt")
+    model, ref = str(workspace / "model.mfsurr"), str(workspace / "ref.mfsnap")
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", "--model", model, "--reference", ref,
+                 "--out", str(report), "--timing-reps", "0"]) == 0
+    snaps = ["--hf", str(workspace / "hf.mfsnap"), "--lf", str(workspace / "lf.mfsnap")]
+    search_cfg = str(write_config(
+        tmp_path / "search.json",
+        search={"budget": 1, "mode": "random", "space": {"hidden": [8]}},
+    ))
+    argv = {
+        "report": ["report", str(report), "--out", missing],
+        "train": ["train", "--config", str(workspace / "cfg.json"), *snaps,
+                  "--out", str(tmp_path / "m.mfsurr"), "--log", missing],
+        "search-out": ["search", "--config", search_cfg, *snaps, "--out", missing],
+        "search-log": ["search", "--config", search_cfg, *snaps,
+                       "--out", str(tmp_path / "best.json"), "--log", missing],
+        "predict": ["predict", "--model", model, "--mu", "0.75", "--T", "1",
+                    "--out", str(tmp_path / "p.mfsnap"), "--coef-csv", missing],
+        "evaluate": ["evaluate", "--model", model, "--reference", ref,
+                     "--out", str(tmp_path / "e.csv"), "--summary", missing,
+                     "--timing-reps", "0"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "missing").exists()
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def pinned_snapshots() -> SnapshotSet:
     )
 
 
-def pinned_model() -> SurrogateModel:
+def pinned_model(n_layers: int = 1) -> SurrogateModel:
     grid = Grid2D(4, 2.0)
     basis = PodBasis(
         modes=np.asfortranarray(ramp((16, 2), 1)),
@@ -50,12 +50,15 @@ def pinned_model() -> SurrogateModel:
         field_names=("u",),
     )
     hidden, d_in = 2, 4
-    layer = LstmLayerWeights(
-        *(ramp((hidden, hidden + d_in), k) for k in range(4)),
-        *(ramp(hidden, k) for k in range(4, 8)),
-    )
+    layers = [
+        LstmLayerWeights(
+            np.vstack([ramp((hidden, hidden + d_layer), 12 * li + k) for k in range(4)]),
+            np.concatenate([ramp(hidden, 12 * li + k) for k in range(4, 8)]),
+        )
+        for li, d_layer in enumerate([d_in, hidden][:n_layers])
+    ]
     lstm = LstmModel(
-        layers=[layer],
+        layers=layers,
         w_out=ramp((2, hidden), 8),
         b_out=ramp(2, 9),
         input_norm=Normalizer(ramp(d_in, 10), np.arange(1.0, d_in + 1)),
@@ -130,6 +133,13 @@ def test_mfsnap_bytes_are_pinned():
 def test_mfsurr_bytes_are_pinned():
     assert hashlib.sha256(GOOD["surr"]).hexdigest() == (
         "c3cf9cfab13ed1542cf9941947d6fc162fcfa89d61cf23c35998c49a064e2c72"
+    )
+
+
+def test_two_layer_mfsurr_bytes_are_pinned():
+    # hash taken with the per-gate weight layout, before the stacked one
+    assert hashlib.sha256(encode(save_model, pinned_model(n_layers=2))).hexdigest() == (
+        "7dfa5fe580df5674e0d066ef1e3f65e07ead94a726fff76150d75f0533e2f774"
     )
 
 

@@ -16,7 +16,6 @@ from mfpod.mflstm import (
     StaticModel,
     TrainConfig,
     hyperparameter_search,
-    lstm_forward,
     lstm_from_bytes,
     lstm_to_bytes,
     predict,
@@ -37,12 +36,9 @@ def make_model(hidden, d_in, n_out, seed=0, n_layers=1, layout=None):
     for li in range(n_layers):
         d_layer = d_in if li == 0 else hidden
         shape = (hidden, hidden + d_layer)
-        layers.append(
-            LstmLayerWeights(
-                *(rng.uniform(-0.7, 0.7, size=shape) for _ in range(4)),
-                *(rng.uniform(-0.5, 0.5, size=hidden) for _ in range(4)),
-            )
-        )
+        w = np.vstack([rng.uniform(-0.7, 0.7, size=shape) for _ in range(4)])
+        b = np.concatenate([rng.uniform(-0.5, 0.5, size=hidden) for _ in range(4)])
+        layers.append(LstmLayerWeights(w, b))
     if layout is None:
         layout = FeatureLayout(with_time=True, n_params=1, n_coef=d_in - 2)
     return LstmModel(
@@ -53,6 +49,17 @@ def make_model(hidden, d_in, n_out, seed=0, n_layers=1, layout=None):
         output_norm=identity_normalizer(n_out),
         layout=layout,
     )
+
+
+def plain_layout(d_in):
+    """Features that are LSTM inputs only: no time, no parameter."""
+    return FeatureLayout(with_time=False, n_params=0, n_coef=d_in)
+
+
+def forward(model, seq):
+    """``predict`` over one (n_steps, d_in) sequence for a ``plain_layout`` model."""
+    series = CoefficientSeries(seq.T, np.arange(len(seq), dtype=float), np.empty((1, 0)))
+    return predict(model, series).coeffs.T
 
 
 def series_pair(n_mu=2, n_t=64, n_coef=3, seed=0, target="identity"):
@@ -81,17 +88,15 @@ def series_pair(n_mu=2, n_t=64, n_coef=3, seed=0, target="identity"):
 # ---------------------------------------------------------------------------
 
 def test_zero_weights_give_readout_bias():
-    model = make_model(4, 3, 2, seed=1)
+    model = make_model(4, 3, 2, seed=1, layout=plain_layout(3))
     for layer in model.layers:
-        for name in ("w_f", "w_u", "w_o", "w_c"):
-            getattr(layer, name)[:] = 0.0
-        for name in ("b_f", "b_u", "b_o", "b_c"):
-            getattr(layer, name)[:] = 0.0
+        layer.w[:] = 0.0
+        layer.b[:] = 0.0
     model.w_out[:] = 0.0
     model.b_out[:] = [1.5, -0.5]
     out_norm = Normalizer(np.array([10.0, 20.0]), np.array([2.0, 4.0]))
     model.output_norm = out_norm
-    out = lstm_forward(model, np.random.default_rng(2).standard_normal((5, 3)))
+    out = forward(model, np.random.default_rng(2).standard_normal((5, 3)))
     # gates are 1/2, candidate is 0, so states stay zero; the output is the
     # denormalized readout bias at every step
     expected = out_norm.decode(np.array([1.5, -0.5]))
@@ -103,15 +108,10 @@ def test_single_step_scalar_hand_computation():
     wf, wu, wo, wc = 0.3, -0.4, 0.2, 0.7  # input-part weights
     bf, bu, bo, bc = 0.1, -0.2, 0.05, 0.3
     x = 0.9
+    # one row per gate in the order f, u, o, c: [recurrent weight, input weight]
     layer = LstmLayerWeights(
-        w_f=np.array([[0.5, wf]]),
-        w_u=np.array([[-0.1, wu]]),
-        w_o=np.array([[0.4, wo]]),
-        w_c=np.array([[-0.3, wc]]),
-        b_f=np.array([bf]),
-        b_u=np.array([bu]),
-        b_o=np.array([bo]),
-        b_c=np.array([bc]),
+        w=np.array([[0.5, wf], [-0.1, wu], [0.4, wo], [-0.3, wc]]),
+        b=np.array([bf, bu, bo, bc]),
     )
     model = LstmModel(
         layers=[layer],
@@ -130,7 +130,7 @@ def test_single_step_scalar_hand_computation():
     c1 = g_f * 0.0 + g_u * c_til
     h1 = g_o * math.tanh(c1)
     expected = 2.0 * h1 + 0.25
-    out = lstm_forward(model, np.array([[x]]))
+    out = forward(model, np.array([[x]]))
     assert out[0, 0] == pytest.approx(expected, rel=1e-14)
     assert g_f != 0.5 and g_u != 0.5  # the hand values actually exercise the gates
 
@@ -139,9 +139,9 @@ def test_recurrence_is_order_sensitive_but_static_is_not():
     rng = np.random.default_rng(3)
     seq = rng.standard_normal((8, 4))
     permuted = seq[::-1].copy()
-    model = make_model(5, 4, 2, seed=4)
-    out = lstm_forward(model, seq)
-    out_perm = lstm_forward(model, permuted)
+    model = make_model(5, 4, 2, seed=4, layout=plain_layout(4))
+    out = forward(model, seq)
+    out_perm = forward(model, permuted)
     assert np.abs(out[-1] - out_perm[-1]).max() > 1e-6
     static = StaticModel(
         weights=[(rng.standard_normal((2, 4)), rng.standard_normal(2))],
@@ -155,16 +155,19 @@ def test_recurrence_is_order_sensitive_but_static_is_not():
 
 
 def test_forward_rejects_wrong_feature_count():
-    model = make_model(4, 3, 2)
+    model = make_model(4, 3, 2)  # features [t, mu, 1 coefficient]
+    times = np.arange(5.0)
     with pytest.raises(ShapeError):
-        lstm_forward(model, np.zeros((5, 7)))
+        predict(model, CoefficientSeries(np.zeros((5, 5)), times, np.zeros((1, 1))))
+    with pytest.raises(ShapeError):
+        predict(model, CoefficientSeries(np.zeros((1, 5)), times, np.zeros((1, 2))))
 
 
 def test_forward_rejects_nan_weights():
-    model = make_model(4, 3, 2)
-    model.layers[0].w_f[0, 0] = np.nan
+    model = make_model(4, 3, 2, layout=plain_layout(3))
+    model.layers[0].w[0, 0] = np.nan
     with pytest.raises(ValidationError):
-        lstm_forward(model, np.zeros((5, 3)))
+        forward(model, np.zeros((5, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def test_gradient_check_two_layer_model():
 
 
 def test_readout_is_affine_in_readout_parameters():
-    model = make_model(4, 3, 2, seed=9)
+    model = make_model(4, 3, 2, seed=9, layout=plain_layout(3))
     seq = np.random.default_rng(10).standard_normal((6, 3))
     w1 = np.random.default_rng(11).standard_normal(model.w_out.shape)
     w2 = np.random.default_rng(12).standard_normal(model.w_out.shape)
@@ -198,7 +201,7 @@ def test_readout_is_affine_in_readout_parameters():
     def run(w, b):
         model.w_out[:] = w
         model.b_out[:] = b
-        return lstm_forward(model, seq)
+        return forward(model, seq)
 
     alpha = 0.3
     blended = run(alpha * w1 + (1 - alpha) * w2, alpha * b1 + (1 - alpha) * b2)
@@ -391,8 +394,7 @@ def test_lstm_serialization_round_trip_bit_exact():
     blob = lstm_to_bytes(model)
     back = lstm_from_bytes(blob)
     assert lstm_to_bytes(back) == blob
-    seq = np.random.default_rng(31).standard_normal((6, model.layout.n_features))
-    assert np.array_equal(lstm_forward(model, seq), lstm_forward(back, seq))
+    assert np.array_equal(predict(model, lf).coeffs, predict(back, lf).coeffs)
 
 
 def test_lstm_deserialization_rejects_corruption():
