@@ -12,6 +12,11 @@ X^T X, forming only the retained left vectors; otherwise a direct thin SVD
 is used. Both routes agree to LAPACK accuracy and are cross-checked in the
 test suite.
 
+Each retained mode is flipped so that its largest-magnitude entry is
+positive (the ``svd_flip`` convention), on both routes. Singular vectors are
+defined only up to sign, and without a rule rounding noise in the snapshots
+flips modes, and with them the targets the network is trained on.
+
 Mean subtraction before the SVD is off by default; ``PodRule.center``
 enables it, in which case the mean is stored on the basis and re-added on
 reconstruction.
@@ -125,6 +130,12 @@ def _orthonormalize(u: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _fix_signs(modes: np.ndarray) -> None:
+    """Flip each column in place so that its largest-magnitude entry is positive."""
+    peak = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    modes *= np.where(peak < 0, -1.0, 1.0)
+
+
 def build_basis(snaps: SnapshotSet, rule: PodRule) -> PodBasis:
     """Extract the reduced basis from a (high-fidelity) snapshot set."""
     x = snaps.data
@@ -155,6 +166,7 @@ def build_basis(snaps: SnapshotSet, rule: PodRule) -> PodBasis:
         u, sigma, _ = thin_svd(x)
         n_pod = _resolve_count(sigma, m, n, rule)
         modes = u[:, :n_pod]
+    _fix_signs(modes)
 
     return PodBasis(
         modes=np.asfortranarray(modes),

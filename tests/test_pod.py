@@ -199,3 +199,17 @@ def test_mean_centering_round_trip():
         basis, CoefficientSeries(np.zeros((basis.n_pod, 1)), np.array([0.0]), np.array([[1.0]]))
     )
     assert_allclose(zero.data[:, 0], x.mean(axis=1), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(60, 24), (1300, 1100)], ids=["thin-svd", "gram"])
+def test_mode_signs_survive_rounding_noise(shape):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(shape)
+    noisy = x * (1.0 + 1e-15 * rng.standard_normal(shape))
+    rule = PodRule(n_modes=8)
+    modes = build_basis(as_set(x), rule).modes
+    noisy_modes = build_basis(as_set(noisy), rule).modes
+    assert np.abs(modes - noisy_modes).max() < 1e-9
+    assert np.array_equal(np.sign(modes), np.sign(noisy_modes))
+    peak = modes[np.argmax(np.abs(modes), axis=0), np.arange(8)]
+    assert np.all(peak > 0)
