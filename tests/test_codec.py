@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfpod.errors import FormatError, MfpodError, StorageError
+from mfpod.errors import FormatError, MfpodError, StorageError, ValidationError
 from mfpod.lifting import LiftSpec
-from mfpod.mflstm import FeatureLayout, LstmLayerWeights, LstmModel, Normalizer
+from mfpod.mflstm import FeatureLayout, LstmLayerWeights, LstmModel, Normalizer, predict
 from mfpod.numerics import Grid2D
 from mfpod.pipeline import Provenance, SurrogateModel, load_model, save_model
-from mfpod.pod import PodBasis
+from mfpod.pod import CoefficientSeries, PodBasis
 from mfpod.snapshots import SnapshotSet, read_snapshots, write_snapshots
 from mfpod.solvers import FidelityProfile
 
@@ -223,3 +223,26 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, k
             save_model(pinned_model(), path)
     assert path.read_bytes() == b"old content"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+NON_FINITE_TARGETS = {
+    "b": lambda lstm: lstm.layers[0].b,
+    "w_out": lambda lstm: lstm.w_out,
+    "b_out": lambda lstm: lstm.b_out,
+    "input_norm.mean": lambda lstm: lstm.input_norm.mean,
+    "output_norm.std": lambda lstm: lstm.output_norm.std,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("array", sorted(NON_FINITE_TARGETS))
+def test_non_finite_model_arrays_are_rejected(array, bad, tmp_path):
+    model = pinned_model()
+    NON_FINITE_TARGETS[array](model.lstm)[-1] = bad
+    series = CoefficientSeries(np.zeros((2, 3)), np.array([0.0, 0.5, 1.0]), np.array([[1.0]]))
+    with pytest.raises(ValidationError):
+        predict(model.lstm, series)
+    path = tmp_path / "model.mfsurr"
+    save_model(model, path)
+    with pytest.raises(MfpodError):
+        load_model(path)

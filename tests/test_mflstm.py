@@ -218,6 +218,14 @@ def test_normalizer_rejects_nonpositive_scale():
         Normalizer(np.zeros(2), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalizer_rejects_non_finite_statistics(bad):
+    with pytest.raises(ValidationError):
+        Normalizer(np.array([0.0, bad]), np.ones(2))
+    with pytest.raises(ValidationError):
+        Normalizer(np.zeros(2), np.array([1.0, bad]))
+
+
 def test_normalizer_fit_handles_constant_feature():
     samples = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
     norm = Normalizer.fit(samples)
