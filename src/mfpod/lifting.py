@@ -1,17 +1,20 @@
 """Lifting of low-fidelity snapshot sets to high-fidelity resolution.
 
-Lifting interpolates each snapshot spatially onto the finer grid (per field
-component, nearest-neighbor or bilinear with periodic wrap) and then
-linearly interpolates each trajectory in time onto the target time grid.
-Both stages are linear maps, so the composite acts like P @ X @ Q^T; the
-order (space first, then time) therefore does not affect the result and is
-chosen to keep peak memory low.
+The spatial lift is one stencil for both modes: every destination node is a
+weighted sum of k source nodes of the same field component, k = 1 with
+weight 1 for nearest-neighbor and k = 4 (the periodic bilinear cell) for
+bilinear. Time is then interpolated linearly onto the target time grid. The
+snapshot matrix is parameter-major, so every parameter is lifted at once:
+the spatial stencil acts on all columns together and the time interpolation
+on the (rows, n_mu, n_t) view of them. Both stages are linear maps, so the
+composite acts like P @ X @ Q^T; the order (space first, then time)
+therefore does not affect the result and is chosen to keep peak memory low.
 
 ``lift_project`` fuses lifting with projection onto a reduced basis by
-pre-contracting the basis with the spatial interpolation stencil, so the
-lifted fields are never materialized. It is exactly the linear-algebra
-rearrangement basis^T (P X Q^T) = ((P^T basis)^T X) Q^T and is used on the
-hot online path; plain ``lift`` is the reference implementation.
+pre-contracting the basis with the spatial stencil, so the lifted fields are
+never materialized. It is exactly the linear-algebra rearrangement
+basis^T (P X Q^T) = ((P^T basis)^T X) Q^T and is used on the hot online
+path; plain ``lift`` is the reference implementation.
 """
 
 from __future__ import annotations
@@ -49,29 +52,34 @@ class LiftSpec:
             raise ValidationError("dst_times must be a nonempty 1-D vector")
 
 
-def _flat_gather(spec: LiftSpec) -> tuple[np.ndarray, ...]:
-    """Flat source indices (and weights for bilinear) for one field component.
+def _flat_gather(spec: LiftSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Source indices and weights, each (k, n_dst^2), of one field component.
 
-    Destination flat index r = ix + n_dst*iy maps to source flat indices
-    following the same column-major convention.
+    Destination flat index r = ix + n_dst*iy is the sum over j of
+    w[j, r] * source[idx[j, r]], with source flat indices following the same
+    column-major convention. ``nearest`` is k = 1 with weight 1; ``bilinear``
+    is the four corners of the periodic source cell in the order 00, 10, 01,
+    11 (x offset, then y offset).
     """
     ns = spec.src_grid.n
     if spec.spatial_mode == "nearest":
-        idx = nearest_index_map(spec.src_grid, spec.dst_grid)
-        gather = idx[:, None] + ns * idx[None, :]
-        return (gather.ravel(order="F"),)
-    i0, i1, f = bilinear_weight_map(spec.src_grid, spec.dst_grid)
-    g00 = (i0[:, None] + ns * i0[None, :]).ravel(order="F")
-    g10 = (i1[:, None] + ns * i0[None, :]).ravel(order="F")
-    g01 = (i0[:, None] + ns * i1[None, :]).ravel(order="F")
-    g11 = (i1[:, None] + ns * i1[None, :]).ravel(order="F")
-    fx = np.broadcast_to(f[:, None], (f.size, f.size)).ravel(order="F")
-    fy = np.broadcast_to(f[None, :], (f.size, f.size)).ravel(order="F")
-    w00 = (1 - fx) * (1 - fy)
-    w10 = fx * (1 - fy)
-    w01 = (1 - fx) * fy
-    w11 = fx * fy
-    return g00, g10, g01, g11, w00, w10, w01, w11
+        i = nearest_index_map(spec.src_grid, spec.dst_grid)
+        axis = [(i, np.ones(i.size))]
+    else:
+        i0, i1, f = bilinear_weight_map(spec.src_grid, spec.dst_grid)
+        axis = [(i0, 1 - f), (i1, f)]
+    corners = [(x, y) for y in axis for x in axis]
+    idx = np.stack([np.add.outer(ix, ns * iy).ravel(order="F") for (ix, _), (iy, _) in corners])
+    w = np.stack([np.multiply.outer(wx, wy).ravel(order="F") for (_, wx), (_, wy) in corners])
+    return idx, w
+
+
+def _interp_blocks(cols: np.ndarray, snaps: SnapshotSet, dst_times: np.ndarray) -> np.ndarray:
+    """Carry the parameter-major columns ``cols`` from ``snaps.times`` to ``dst_times``."""
+    if np.array_equal(snaps.times, dst_times):
+        return cols
+    blocks = cols.reshape(cols.shape[0], snaps.n_mu, snaps.n_t)
+    return interp_time(blocks, snaps.times, dst_times).reshape(cols.shape[0], -1)
 
 
 def _validate_input(snaps: SnapshotSet, spec: LiftSpec) -> int:
@@ -89,45 +97,22 @@ def _validate_input(snaps: SnapshotSet, spec: LiftSpec) -> int:
     return n_fields
 
 
-def _lift_block_spatial(block: np.ndarray, n_fields: int, ns2: int,
-                        nd2: int, gather: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Spatially lift one trajectory block (n_fields*ns2, n_t)."""
-    out = np.empty((n_fields * nd2, block.shape[1]), dtype=np.float64, order="F")
-    for f in range(n_fields):
-        sub = block[f * ns2 : (f + 1) * ns2, :]
-        if len(gather) == 1:
-            out[f * nd2 : (f + 1) * nd2, :] = sub[gather[0], :]
-        else:
-            g00, g10, g01, g11, w00, w10, w01, w11 = gather
-            out[f * nd2 : (f + 1) * nd2, :] = (
-                w00[:, None] * sub[g00, :]
-                + w10[:, None] * sub[g10, :]
-                + w01[:, None] * sub[g01, :]
-                + w11[:, None] * sub[g11, :]
-            )
-    return out
-
-
 def lift(snaps: SnapshotSet, spec: LiftSpec) -> SnapshotSet:
     """Lift a snapshot set onto the target grid and times."""
     n_fields = _validate_input(snaps, spec)
     ns2 = spec.src_grid.n**2
     nd2 = spec.dst_grid.n**2
-    gather = _flat_gather(spec)
-    same_times = np.array_equal(snaps.times, spec.dst_times)
-
-    out = np.empty(
-        (n_fields * nd2, snaps.n_mu * spec.dst_times.size), dtype=np.float64, order="F"
-    )
-    n_t_dst = spec.dst_times.size
-    for i in range(snaps.n_mu):
-        lifted = _lift_block_spatial(snaps.trajectory(i), n_fields, ns2, nd2, gather)
-        if not same_times:
-            lifted = interp_time(lifted, snaps.times, spec.dst_times)
-        out[:, i * n_t_dst : (i + 1) * n_t_dst] = lifted
+    idx, w = _flat_gather(spec)
+    spatial = np.empty((n_fields * nd2, snaps.data.shape[1]), dtype=np.float64, order="F")
+    for f in range(n_fields):
+        src = snaps.data[f * ns2 : (f + 1) * ns2]
+        dst = spatial[f * nd2 : (f + 1) * nd2]
+        np.multiply(w[0][:, None], src[idx[0]], out=dst)
+        for ik, wk in zip(idx[1:], w[1:]):
+            dst += wk[:, None] * src[ik]
     return SnapshotSet(
         fidelity=snaps.fidelity,
-        data=out,
+        data=_interp_blocks(spatial, snaps, spec.dst_times),
         grid=spec.dst_grid,
         times=spec.dst_times.copy(),
         params=snaps.params,
@@ -149,19 +134,13 @@ def reduced_stencil(basis: PodBasis, spec: LiftSpec) -> np.ndarray:
             f"basis rows ({basis.n_dof}) are not field_count * n_dst^2 "
             f"({n_fields} * {spec.dst_grid.n}^2)"
         )
-    gather = _flat_gather(spec)
+    idx, w = _flat_gather(spec)
     reduced = np.zeros((n_fields * ns2, basis.n_pod), dtype=np.float64)
     for f in range(n_fields):
         modes_f = basis.modes[f * nd2 : (f + 1) * nd2, :]
         target = reduced[f * ns2 : (f + 1) * ns2, :]
-        if len(gather) == 1:
-            np.add.at(target, gather[0], modes_f)
-        else:
-            g00, g10, g01, g11, w00, w10, w01, w11 = gather
-            np.add.at(target, g00, w00[:, None] * modes_f)
-            np.add.at(target, g10, w10[:, None] * modes_f)
-            np.add.at(target, g01, w01[:, None] * modes_f)
-            np.add.at(target, g11, w11[:, None] * modes_f)
+        for ik, wk in zip(idx, w):
+            np.add.at(target, ik, wk[:, None] * modes_f)
     return reduced
 
 
@@ -185,14 +164,8 @@ def lift_project(
         # basis^T (x - mean) = basis^T x - basis^T mean, with x already lifted:
         # the mean lives on the destination grid, so contract it directly.
         coef_src = coef_src - (basis.modes.T @ basis.snapshot_mean)[:, None]
-    n_t_dst = spec.dst_times.size
-    if np.array_equal(snaps.times, spec.dst_times):
-        out = coef_src
-    else:
-        out = np.empty((basis.n_pod, snaps.n_mu * n_t_dst), dtype=np.float64, order="F")
-        for i in range(snaps.n_mu):
-            block = coef_src[:, i * snaps.n_t : (i + 1) * snaps.n_t]
-            out[:, i * n_t_dst : (i + 1) * n_t_dst] = interp_time(
-                block, snaps.times, spec.dst_times
-            )
-    return CoefficientSeries(coeffs=out, times=spec.dst_times.copy(), params=snaps.params)
+    return CoefficientSeries(
+        coeffs=_interp_blocks(coef_src, snaps, spec.dst_times),
+        times=spec.dst_times.copy(),
+        params=snaps.params,
+    )

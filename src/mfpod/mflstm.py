@@ -311,6 +311,11 @@ def static_forward(model: StaticModel, x: np.ndarray) -> np.ndarray:
 # feature assembly
 # ---------------------------------------------------------------------------
 
+def _target_tensor(series: CoefficientSeries) -> np.ndarray:
+    """(n_mu, n_t, n_pod) view of the parameter-major coefficient columns."""
+    return series.coeffs.reshape(series.n_pod, series.n_mu, series.n_t).transpose(1, 2, 0)
+
+
 def _feature_tensor(series: CoefficientSeries, with_time: bool) -> np.ndarray:
     """(n_mu, n_t, n_features) feature array in layout order."""
     n_mu, n_t = series.n_mu, series.n_t
@@ -318,13 +323,8 @@ def _feature_tensor(series: CoefficientSeries, with_time: bool) -> np.ndarray:
     if with_time:
         cols.append(np.broadcast_to(series.times[None, :, None], (n_mu, n_t, 1)))
     cols.append(np.broadcast_to(series.params[:, None, :], (n_mu, n_t, series.params.shape[1])))
-    coef = np.stack([series.trajectory(i).T for i in range(n_mu)], axis=0)
-    cols.append(coef)
+    cols.append(_target_tensor(series))
     return np.concatenate(cols, axis=2)
-
-
-def _target_tensor(series: CoefficientSeries) -> np.ndarray:
-    return np.stack([series.trajectory(i).T for i in range(series.n_mu)], axis=0)
 
 
 def _samples(lf: CoefficientSeries, hf: CoefficientSeries, with_time: bool):
@@ -608,12 +608,12 @@ def predict(
     xn = model.input_norm.encode(features)
     if isinstance(model, LstmModel):
         y, _ = _forward_stacked(model.layers, (model.w_out, model.b_out), xn.transpose(1, 0, 2))
-        out = model.output_norm.decode(y)  # (n_t, n_mu, n_out)
-        coeffs = np.concatenate([out[:, i, :].T for i in range(series.n_mu)], axis=1)
+        out = model.output_norm.decode(y).transpose(1, 0, 2)
     else:
-        flat_rows = xn.reshape(-1, model.layout.n_features)
-        pred = static_forward(model, flat_rows).reshape(series.n_mu, series.n_t, -1)
-        coeffs = np.concatenate([pred[i].T for i in range(series.n_mu)], axis=1)
+        out = static_forward(model, xn.reshape(-1, model.layout.n_features))
+    # (n_mu, n_t, n_out) back to parameter-major columns
+    n_mu, n_t = series.n_mu, series.n_t
+    coeffs = out.reshape(n_mu, n_t, -1).transpose(2, 0, 1).reshape(-1, n_mu * n_t)
     return CoefficientSeries(coeffs=coeffs, times=series.times, params=series.params)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -299,12 +299,7 @@ def online_predict_detailed(
         )
     times = prediction_times(model, T)
     lf_set = _run_lf(model, mu, float(times[-1]))
-    spec = LiftSpec(
-        spatial_mode=model.lift_spec.spatial_mode,
-        src_grid=model.lift_spec.src_grid,
-        dst_grid=model.lift_spec.dst_grid,
-        dst_times=times,
-    )
+    spec = replace(model.lift_spec, dst_times=times)
     coef_lf = lift_project(lf_set, spec, model.basis, stencil=model.stencil)
     coef_mf = predict(model.lstm, coef_lf)
     prediction = reconstruct(model.basis, coef_mf)
@@ -364,24 +359,15 @@ def evaluate(
         )
     ref_idx = [_reference_index(hf_reference, mu) for mu in test_params]
 
-    all_mu = []
-    all_t = []
+    lf_spec = replace(model.lift_spec, dst_times=times)
     err_mf = []
     err_lf = []
     for mu, idx in zip(test_params, ref_idx):
         detail = online_predict_detailed(model, float(mu), T)
         ref_block = hf_reference.trajectory(idx)
         err_mf.append(_column_errors(ref_block, detail.prediction.data))
-        lf_spec = LiftSpec(
-            spatial_mode=model.lift_spec.spatial_mode,
-            src_grid=model.lift_spec.src_grid,
-            dst_grid=model.lift_spec.dst_grid,
-            dst_times=times,
-        )
         lifted = lift(detail.lf_snapshots, lf_spec)
         err_lf.append(_column_errors(ref_block, lifted.data))
-        all_mu.append(np.full(times.size, mu))
-        all_t.append(times)
 
     col_mf = 100.0 * np.concatenate(err_mf)
     col_lf = 100.0 * np.concatenate(err_lf)
@@ -417,8 +403,8 @@ def evaluate(
         time_lf=time_lf,
         time_mf=time_mf,
         time_hf=time_hf,
-        mus=np.concatenate(all_mu),
-        ts=np.concatenate(all_t),
+        mus=np.repeat(test_params, times.size),
+        ts=np.tile(times, test_params.size),
         col_err_mf_percent=col_mf,
         col_err_lf_percent=col_lf,
     )

@@ -103,9 +103,6 @@ class CoefficientSeries:
     def n_mu(self) -> int:
         return self.params.shape[0]
 
-    def trajectory(self, mu_index: int) -> np.ndarray:
-        return self.coeffs[:, mu_index * self.n_t : (mu_index + 1) * self.n_t]
-
 
 def modes_by_energy(sigma: np.ndarray, tol: float) -> int:
     """Minimum mode count whose squared singular values capture 1 - tol^2."""

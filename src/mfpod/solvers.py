@@ -280,28 +280,30 @@ def generate_dataset(
     params: ParameterGrid | np.ndarray,
     T: float,
 ) -> SnapshotSet:
-    """Run the solver at every parameter value, in order, and assemble a SnapshotSet."""
+    """Run the solver at every parameter value, in order, into one SnapshotSet.
+
+    Each trajectory is written into its own column block of the dataset as
+    soon as it is solved.
+    """
     values = params.values if isinstance(params, ParameterGrid) else np.asarray(params, float)
     if values.ndim != 1 or values.size < 1:
         raise ValidationError("parameter values must be a nonempty 1-D vector")
     grid = problem_grid(problem, profile.n)
-
-    results = []
-    for mu in values:
+    field_names = _RD_FIELDS if problem == "rd" else _SW_FIELDS
+    times = _times(T, profile.dt)
+    data = np.empty((len(field_names) * grid.n**2, values.size * times.size),
+                    dtype=np.float64, order="F")
+    blocks = data.reshape(data.shape[0], values.size, times.size)
+    for i, mu in enumerate(values):
         try:
-            results.append(_solve_one(problem, profile, float(mu), T))
+            blocks[:, i] = _solve_one(problem, profile, float(mu), T)[1]
         except InstabilityError as exc:
             raise InstabilityError(f"mu = {mu:g}: {exc}") from exc
-    times = results[0][0]
-    n_dof = results[0][1].shape[0]
-    data = np.empty((n_dof, values.size * times.size), dtype=np.float64, order="F")
-    for i, (_, traj) in enumerate(results):
-        data[:, i * times.size : (i + 1) * times.size] = traj
     return SnapshotSet(
         fidelity=profile.fidelity,
         data=data,
         grid=grid,
         times=times,
         params=values[:, None],
-        field_names=_RD_FIELDS if problem == "rd" else _SW_FIELDS,
+        field_names=field_names,
     )
