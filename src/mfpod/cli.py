@@ -35,33 +35,63 @@ from .pod import PodRule, project
 from .snapshots import ParameterGrid, read_snapshots, write_snapshots
 from .solvers import FidelityProfile, generate_dataset
 
-_TRAIN_KEYS = {f.name for f in dataclass_fields(TrainConfig)}
+# every TrainConfig field takes the type of its default
+_TRAIN_TYPES = {f.name: type(f.default) for f in dataclass_fields(TrainConfig)}
 
+# a type is a scalar of that type, a dict an object of those keys, a
+# one-element list a nonempty list of that form, and a tuple (test_params
+# only) either of its forms
 _SCHEMA = {
     "problem": str,
     "seed": int,
     "hf": {"n": int, "dt": float, "d": float},
     "lf": {"n": int, "dt": float, "d": float},
     "params": {"lo": float, "hi": float, "count": int},
-    "test_params": None,  # {"count": int} or explicit list of floats
+    "test_params": ([float], {"count": int}),
     "t_train": float,
     "t_final": float,
     "pod": {"n_modes": int, "tol": float, "center": bool},
     "lift": {"spatial_mode": str},
-    "train": {key: object for key in _TRAIN_KEYS},
-    "search": {"budget": int, "mode": str, "space": dict},
-    "paths": {"out_dir": str},
+    "train": _TRAIN_TYPES,
+    "search": {"budget": int, "mode": str,
+               "space": {key: [kind] for key, kind in _TRAIN_TYPES.items()}},
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _check_keys(section: dict, allowed: dict, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ValidationError(f"unknown config key {key!r} in {where}")
+def _check_value(value, schema, where: str) -> None:
+    """Raise ValidationError unless ``value`` has the form ``schema`` declares.
+
+    An int is accepted where a float is declared; a bool is never a number.
+    """
+    if isinstance(schema, tuple):
+        for form in schema:
+            try:
+                return _check_value(value, form, where)
+            except ValidationError:
+                pass
+        raise ValidationError(
+            f"{where} must be a list of values or an object with 'count', got {value!r}")
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValidationError(f"config section {where} must be an object")
+        for key, item in value.items():
+            if key not in schema:
+                raise ValidationError(f"unknown config key {key!r} in {where}")
+            _check_value(item, schema[key], f"{where}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list) or not value:
+            raise ValidationError(f"{where} must be a nonempty list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_value(item, schema[0], f"{where}[{i}]")
+    else:
+        kinds = (int, float) if schema is float else schema
+        if not isinstance(value, kinds) or (isinstance(value, bool) and schema is not bool):
+            raise ValidationError(f"{where} must be {_TYPE_NAMES[schema]}, got {value!r}")
 
 
 def load_config(path: str | None) -> dict:
-    """Load and schema-validate a JSON run config; unknown keys are rejected."""
+    """Load and schema-validate a JSON run config; unknown keys and mistyped values fail."""
     if path is None:
         return {}
     cfg_path = Path(path)
@@ -73,19 +103,10 @@ def load_config(path: str | None) -> dict:
         raise ValidationError(f"config {cfg_path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config root must be a JSON object")
-    _check_keys(cfg, _SCHEMA, "config root")
-    for key, sub_schema in _SCHEMA.items():
-        if key not in cfg or not isinstance(sub_schema, dict):
-            continue
-        if not isinstance(cfg[key], dict):
-            raise ValidationError(f"config section {key!r} must be an object")
-        _check_keys(cfg[key], sub_schema, f"section {key!r}")
-    tp = cfg.get("test_params")
-    if tp is not None and not isinstance(tp, list):
-        if not isinstance(tp, dict) or set(tp) - {"count"}:
-            raise ValidationError(
-                "test_params must be a list of values or an object with 'count'"
-            )
+    for key, value in cfg.items():
+        if key not in _SCHEMA:
+            raise ValidationError(f"unknown config key {key!r} in config root")
+        _check_value(value, _SCHEMA[key], key)
     return cfg
 
 
@@ -138,9 +159,13 @@ def _test_values(cfg: dict) -> np.ndarray:
         raise ValidationError("config is missing 'test_params' for the test role")
     if isinstance(tp, list):
         return np.asarray(tp, dtype=np.float64)
+    return _param_grid(cfg).midpoints(_require(tp, "count"))
+
+
+def _param_grid(cfg: dict) -> ParameterGrid:
     section = _require(cfg, "params")
-    grid = ParameterGrid(float(section["lo"]), float(section["hi"]), int(section["count"]))
-    return grid.midpoints(int(tp["count"]))
+    return ParameterGrid(float(_require(section, "lo")), float(_require(section, "hi")),
+                         _require(section, "count"))
 
 
 def _check_out(path: str, no_overwrite: bool) -> None:
@@ -157,10 +182,7 @@ def cmd_generate(args) -> int:
     problem = args.problem or _require(cfg, "problem")
     profile = _profile(cfg, args.fidelity)
     if args.role == "train":
-        section = _require(cfg, "params")
-        values = ParameterGrid(
-            float(section["lo"]), float(section["hi"]), int(section["count"])
-        ).values
+        values = _param_grid(cfg).values
         t_end = float(_require(cfg, "t_train"))
     else:
         values = _test_values(cfg)

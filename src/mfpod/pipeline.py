@@ -153,7 +153,7 @@ class EvalReport:
                 raise ValidationError(f"{csv_path} is not an evaluation report CSV")
             for line in lines[1:]:
                 try:
-                    mu, t, emf, elf = (float(x) for x in line.split(","))
+                    mu, t, emf, elf = (float(x) for x in line.split(",")[:4])
                 except ValueError as exc:
                     raise ValidationError(f"{csv_path}: malformed row {line!r}") from exc
                 rows.append((mu, t, emf, elf))

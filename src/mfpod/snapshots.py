@@ -55,6 +55,8 @@ class ParameterGrid:
 
     def midpoints(self, count: int) -> np.ndarray:
         """``count`` cell-centered values; never coincide with grid nodes."""
+        if count < 1:
+            raise ValidationError(f"midpoint count must be >= 1, got {count}")
         step = (self.hi - self.lo) / count
         return self.lo + step * (0.5 + np.arange(count))
 

@@ -94,6 +94,37 @@ def test_generate_rejects_unknown_config_key(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"hf": {"n": "abc", "dt": 0.05}},
+    {"hf": {"n": True, "dt": 0.05}},
+    {"params": {"lo": "x", "hi": 1.5, "count": 3}},
+    {"params": {"lo": 0.5, "hi": 1.5}},
+    {"test_params": ["a"]},
+    {"test_params": {"count": 0}},
+    {"train": {"hidden": "12"}},
+    {"pod": {"n_modes": "4"}},
+    {"search": {"space": {"hidden": 5}}},
+    {"paths": {"out_dir": "x"}},
+], ids=["hf.n-str", "hf.n-bool", "params.lo-str", "params-no-count", "test_params-str",
+        "test_params-count-0", "train.hidden-str", "pod.n_modes-str", "search.space-scalar",
+        "paths"])
+def test_generate_rejects_malformed_config_value(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    code = main(["generate", "--config", str(cfg), "--fidelity", "hf", "--role", "test",
+                 "--out", str(tmp_path / "x.mfsnap")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.mfsnap").exists()
+
+
+def test_config_accepts_int_where_float_declared(tmp_path):
+    from mfpod.cli import load_config
+
+    cfg = write_config(tmp_path / "cfg.json", t_train=3, params={"lo": 1, "hi": 2, "count": 3},
+                       test_params=[1, 1.5])
+    assert load_config(str(cfg))["t_train"] == 3
+
+
 def test_generate_is_deterministic(workspace, tmp_path):
     out = tmp_path / "again.mfsnap"
     assert main(["generate", "--config", str(workspace / "cfg.json"),
@@ -309,6 +340,20 @@ def test_report_rejects_empty_or_malformed_csv(tmp_path, capsys, text):
     bad.write_text(text)
     assert main(["report", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_report_reads_first_four_columns(workspace, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", "--model", str(workspace / "model.mfsurr"),
+                 "--reference", str(workspace / "ref.mfsnap"),
+                 "--out", str(out), "--timing-reps", "0"]) == 0
+    wide = tmp_path / "wide.csv"
+    wide.write_text("".join(line + ",extra\n" for line in out.read_text().splitlines()))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["report", str(wide)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("command", ["report", "predict", "evaluate", "train",
