@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -154,3 +156,25 @@ def test_fused_lift_project_matches_naive_composition(mode):
     naive = project(basis, lift(lf, spec)).coeffs
     fused = lift_project(lf, spec, basis).coeffs
     assert np.abs(naive - fused).max() < 1e-10 * max(1.0, np.abs(naive).max())
+
+
+@pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+@pytest.mark.parametrize("interp", [False, True], ids=["same-times", "interp-times"])
+@pytest.mark.parametrize("center", [False, True], ids=["raw", "centred"])
+def test_whole_set_equals_single_parameter_calls(mode, interp, center):
+    # columns are parameter-major: lifting all three parameters at once must
+    # give, bit for bit, the per-parameter results side by side
+    lf = make_set(8, 2.0, [0.0, 0.4, 1.0, 1.5, 2.0], [1.0, 2.0, 3.0], n_fields=2, seed=9)
+    hf = make_set(16, 2.0, np.linspace(0, 2, 9), [1.0, 2.0], n_fields=2, seed=10,
+                  fidelity="HF")
+    basis = build_basis(hf, PodRule(n_modes=5, center=center))
+    spec = LiftSpec(mode, lf.grid, hf.grid, hf.times if interp else lf.times)
+    singles = [
+        dataclasses.replace(lf, data=lf.trajectory(i), params=lf.params[i : i + 1])
+        for i in range(lf.n_mu)
+    ]
+    whole = lift(lf, spec).data
+    assert np.array_equal(whole, np.hstack([lift(one, spec).data for one in singles]))
+    whole = lift_project(lf, spec, basis).coeffs
+    assert np.array_equal(
+        whole, np.hstack([lift_project(one, spec, basis).coeffs for one in singles]))

@@ -363,6 +363,22 @@ def test_predict_identity_model_reproduces_input():
     assert rel < 0.25
 
 
+@pytest.mark.parametrize("kind", ["lstm", "static"])
+def test_predict_whole_series_matches_single_parameter_calls(kind):
+    # a 3-parameter series, predicted at once, must match each parameter
+    # predicted alone block by block; not bitwise, because the GEMMs round
+    # differently for a 1-row and a 3-row batch
+    lf, hf = series_pair(n_mu=3, n_t=24, n_coef=3, seed=31)
+    cfg = TrainConfig(hidden=8, n_layers=2, k_window=8, n_batch=4, epochs=3, seed=0)
+    model = train(lf, hf, cfg) if kind == "lstm" else train_static_baseline(lf, hf, cfg)
+    whole = predict(model, lf).coeffs
+    for i in range(lf.n_mu):
+        block = slice(i * lf.n_t, (i + 1) * lf.n_t)
+        one = CoefficientSeries(lf.coeffs[:, block], lf.times, lf.params[i : i + 1])
+        alone = predict(model, one).coeffs
+        assert_allclose(whole[:, block], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
+
+
 def test_predict_double_horizon_accepted():
     lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2, seed=27)
     cfg = TrainConfig(hidden=8, k_window=8, epochs=20, seed=0)
