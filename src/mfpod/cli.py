@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -56,13 +57,14 @@ _SCHEMA = {
     "search": {"budget": int, "mode": str,
                "space": {key: [kind] for key, kind in _TRAIN_TYPES.items()}},
 }
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
 def _check_value(value, schema, where: str) -> None:
     """Raise ValidationError unless ``value`` has the form ``schema`` declares.
 
-    An int is accepted where a float is declared; a bool is never a number.
+    An int is accepted where a float is declared; a bool is never a number,
+    and NaN and infinity, which Python's json reads, are not numbers either.
     """
     if isinstance(schema, tuple):
         for form in schema:
@@ -86,7 +88,8 @@ def _check_value(value, schema, where: str) -> None:
             _check_value(item, schema[0], f"{where}[{i}]")
     else:
         kinds = (int, float) if schema is float else schema
-        if not isinstance(value, kinds) or (isinstance(value, bool) and schema is not bool):
+        if (not isinstance(value, kinds) or (isinstance(value, bool) and schema is not bool)
+                or (schema is float and not math.isfinite(value))):
             raise ValidationError(f"{where} must be {_TYPE_NAMES[schema]}, got {value!r}")
 
 

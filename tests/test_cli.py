@@ -105,9 +105,10 @@ def test_generate_rejects_unknown_config_key(tmp_path):
     {"pod": {"n_modes": "4"}},
     {"search": {"space": {"hidden": 5}}},
     {"paths": {"out_dir": "x"}},
+    {"t_final": float("nan")},
 ], ids=["hf.n-str", "hf.n-bool", "params.lo-str", "params-no-count", "test_params-str",
         "test_params-count-0", "train.hidden-str", "pod.n_modes-str", "search.space-scalar",
-        "paths"])
+        "paths", "t_final-nan"])
 def test_generate_rejects_malformed_config_value(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     code = main(["generate", "--config", str(cfg), "--fidelity", "hf", "--role", "test",
