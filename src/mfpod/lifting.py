@@ -103,16 +103,19 @@ def lift(snaps: SnapshotSet, spec: LiftSpec) -> SnapshotSet:
     ns2 = spec.src_grid.n**2
     nd2 = spec.dst_grid.n**2
     idx, w = _flat_gather(spec)
-    spatial = np.empty((n_fields * nd2, snaps.data.shape[1]), dtype=np.float64, order="F")
+    # work on the (column, dof) transposes, whose rows are contiguous for
+    # column-major snapshots; np.take keeps its output row-major, which
+    # fancy indexing along the last axis does not
+    spatial = np.empty((snaps.data.shape[1], n_fields * nd2))
     for f in range(n_fields):
-        src = snaps.data[f * ns2 : (f + 1) * ns2]
-        dst = spatial[f * nd2 : (f + 1) * nd2]
-        np.multiply(w[0][:, None], src[idx[0]], out=dst)
+        src = snaps.data.T[:, f * ns2 : (f + 1) * ns2]
+        dst = spatial[:, f * nd2 : (f + 1) * nd2]
+        np.multiply(np.take(src, idx[0], axis=1), w[0], out=dst)
         for ik, wk in zip(idx[1:], w[1:]):
-            dst += wk[:, None] * src[ik]
+            dst += np.take(src, ik, axis=1) * wk
     return SnapshotSet(
         fidelity=snaps.fidelity,
-        data=_interp_blocks(spatial, snaps, spec.dst_times),
+        data=_interp_blocks(spatial.T, snaps, spec.dst_times),
         grid=spec.dst_grid,
         times=spec.dst_times.copy(),
         params=snaps.params,
