@@ -32,7 +32,7 @@ from .mflstm import (
     train,
     train_static_baseline,
 )
-from .numerics import Grid2D, interp_space, interp_time, thin_svd
+from .numerics import Grid2D, interp_time, thin_svd
 from .pipeline import (
     EvalReport,
     Provenance,

@@ -204,19 +204,21 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    # the model re-runs the LF solver online, so its setup is required up front
+    problem = _require(cfg, "problem")
+    hf_profile, lf_profile = _profile(cfg, "hf"), _profile(cfg, "lf")
     hf = read_snapshots(args.hf)
     lf = read_snapshots(args.lf)
-    lift_cfg = cfg.get("lift", {})
     t0 = time.perf_counter()
     model = pipeline.offline_train(
         hf,
         lf,
         _pod_rule(cfg),
         _train_config(cfg),
-        spatial_mode=lift_cfg.get("spatial_mode", "bilinear"),
-        problem=cfg.get("problem"),
-        hf_profile=_profile(cfg, "hf") if "hf" in cfg else None,
-        lf_profile=_profile(cfg, "lf") if "lf" in cfg else None,
+        spatial_mode=cfg.get("lift", {}).get("spatial_mode", "bilinear"),
+        problem=problem,
+        hf_profile=hf_profile,
+        lf_profile=lf_profile,
     )
     pipeline.save_model(model, args.out)
     wall = time.perf_counter() - t0
@@ -248,27 +250,25 @@ def _coef_csv(path, times, blocks):
 
 def cmd_predict(args) -> int:
     model = pipeline.load_model(args.model)
-    detail = pipeline.online_predict_detailed(model, args.mu, args.T)
-    write_snapshots(detail.prediction, args.out)
-    blocks = [
-        ("lf", detail.lf_coefficients.coeffs),
-        ("mf", detail.mf_coefficients.coeffs),
-    ]
+    ref_blocks = []
     if args.reference:
+        # checked before the prediction is written, so a bad reference leaves no output
         reference = read_snapshots(args.reference)
-        idx = pipeline._reference_index(reference, args.mu)
-        times = detail.prediction.times
-        if reference.times.size != times.size or not np.allclose(
-            reference.times, times, rtol=0, atol=1e-9
-        ):
-            raise CoverageError("reference time grid does not match the prediction grid")
+        (idx,) = pipeline.reference_indices(
+            model, reference, [args.mu], pipeline.prediction_times(model, args.T))
         single = dataclasses.replace(
             reference,
             data=reference.trajectory(idx),
             params=reference.params[idx : idx + 1],
         )
-        ref_coef = project(model.basis, single)
-        blocks.append(("hf", ref_coef.coeffs))
+        ref_blocks.append(("hf", project(model.basis, single).coeffs))
+    detail = pipeline.online_predict_detailed(model, args.mu, args.T)
+    write_snapshots(detail.prediction, args.out)
+    blocks = [
+        ("lf", detail.lf_coefficients.coeffs),
+        ("mf", detail.mf_coefficients.coeffs),
+        *ref_blocks,
+    ]
     coef_path = args.coef_csv or (str(args.out) + ".coef.csv")
     _coef_csv(coef_path, detail.prediction.times, blocks)
     print(

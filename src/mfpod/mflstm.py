@@ -44,7 +44,7 @@ out of the recurrence, and the weight gradients are formed after it.
 
 from __future__ import annotations
 
-import itertools
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -62,6 +62,9 @@ from .pod import CoefficientSeries
 
 LSTM_MAGIC = b"MFLSTM01"
 _VAL_FRACTION = 0.1
+# Adam's moment decay rates and denominator guard, the defaults of Kingma and
+# Ba (arXiv:1412.6980)
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -160,9 +163,6 @@ class TrainConfig:
     n_batch: int = 32
     epochs: int = 400
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -398,14 +398,14 @@ def _fit(cfg: TrainConfig, rng, params: list[np.ndarray], n_items: int, batch_si
                 batch_sse, grads = batch_sse_grads(order[lo : lo + batch_size])
                 sse += batch_sse
                 n_steps += 1
-                bias1 = 1.0 - cfg.beta1**n_steps
-                bias2 = 1.0 - cfg.beta2**n_steps
+                bias1 = 1.0 - _BETA1**n_steps
+                bias2 = 1.0 - _BETA2**n_steps
                 for p, g, (m, v) in zip(params, grads, moments):
-                    m *= cfg.beta1
-                    m += (1.0 - cfg.beta1) * g
-                    v *= cfg.beta2
-                    v += (1.0 - cfg.beta2) * g * g
-                    p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+                    m *= _BETA1
+                    m += (1.0 - _BETA1) * g
+                    v *= _BETA2
+                    v += (1.0 - _BETA2) * g * g
+                    p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
             train_loss = sse / n_terms
             if not np.isfinite(train_loss):
                 raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
@@ -629,14 +629,14 @@ def hyperparameter_search(
     base_cfg: TrainConfig | None = None,
     mode: str = "random",
     seed: int = 0,
-    val_every: int = 1,
 ) -> tuple[TrainConfig, list[dict]]:
-    """Train ``budget`` sampled configs, return the best by held-out loss.
+    """Train up to ``budget`` configs of the space, return the best by held-out loss.
 
     ``space`` maps TrainConfig field names to candidate value lists;
-    ``mode="grid"`` enumerates the product (capped at budget),
-    ``mode="random"`` draws seeded uniform samples. Diverging trials are
-    recorded with infinite loss rather than aborting the search.
+    ``mode="grid"`` enumerates the product in order, ``mode="random"`` draws
+    distinct combinations of it with a seeded generator. Either way no more
+    than the product's size is trained. Diverging trials are recorded with
+    infinite loss rather than aborting the search.
     """
     if not space:
         raise ValidationError("hyperparameter space must not be empty")
@@ -650,16 +650,17 @@ def hyperparameter_search(
         if not space[key]:
             raise ValidationError(f"empty candidate list for {key!r}")
 
+    # combination i of the product in itertools.product order, last key fastest
+    sizes = [len(space[k]) for k in keys]
+    total = math.prod(sizes)
     if mode == "grid":
-        combos = list(itertools.product(*(space[k] for k in keys)))[:budget]
+        picks = range(min(budget, total))
     elif mode == "random":
-        rng = np.random.default_rng(seed)
-        combos = [
-            tuple(space[k][rng.integers(len(space[k]))] for k in keys)
-            for _ in range(budget)
-        ]
+        picks = np.random.default_rng(seed).choice(total, min(budget, total), replace=False)
     else:
         raise ValidationError(f"mode must be 'grid' or 'random', got {mode!r}")
+    combos = [tuple(space[k][j] for k, j in zip(keys, np.unravel_index(i, sizes)))
+              for i in picks]
 
     trials = []
     best_idx = -1
@@ -669,7 +670,7 @@ def hyperparameter_search(
         cfg = replace(base, **overrides)
         record = {"trial": ti, **overrides}
         try:
-            model = train(lf, hf, cfg, val_every=val_every)
+            model = train(lf, hf, cfg)
             vals = [v for _, _, v in model.history if np.isfinite(v)]
             loss = min(vals) if vals else float("inf")
             record["val_loss"] = loss

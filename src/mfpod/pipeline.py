@@ -56,16 +56,16 @@ _PROV_MAGIC = b"MFPROV01"
 _CSV_HEADER = ["mu", "t", "err_mf_percent", "err_lf_percent"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Provenance:
     """What produced the training data; needed to drive the online stage."""
 
-    problem: str | None = None
-    hf_profile: FidelityProfile | None = None
-    lf_profile: FidelityProfile | None = None
-    t_train: float | None = None
-    param_lo: float | None = None
-    param_hi: float | None = None
+    problem: str
+    hf_profile: FidelityProfile
+    lf_profile: FidelityProfile
+    t_train: float
+    param_lo: float
+    param_hi: float
 
 
 @dataclass
@@ -230,9 +230,10 @@ def offline_train(
     pod_rule: PodRule,
     train_cfg,
     spatial_mode: str = "bilinear",
-    problem: str | None = None,
-    hf_profile: FidelityProfile | None = None,
-    lf_profile: FidelityProfile | None = None,
+    *,
+    problem: str,
+    hf_profile: FidelityProfile,
+    lf_profile: FidelityProfile,
     val_every: int = 1,
 ) -> SurrogateModel:
     """Run the four offline stages and assemble the deployable surrogate."""
@@ -250,35 +251,19 @@ def offline_train(
                           provenance=provenance, stencil=data.stencil)
 
 
-def _hf_step(model: SurrogateModel) -> float:
-    prov = model.provenance
-    if prov.hf_profile is not None:
-        return prov.hf_profile.dt
-    times = model.lift_spec.dst_times
-    if times.size < 2:
-        raise ValidationError("cannot infer the high-fidelity time step from the model")
-    return float(times[1] - times[0])
-
-
 def prediction_times(model: SurrogateModel, T: float) -> np.ndarray:
     """High-fidelity-cadence time grid over [0, T] used for predictions."""
     if T < 0:
         raise ValidationError(f"final time must be nonnegative, got T={T}")
-    dt = _hf_step(model)
+    dt = model.provenance.hf_profile.dt
     return dt * np.arange(int(round(T / dt)) + 1)
 
 
 def _run_lf(model: SurrogateModel, mu: float, t_end: float) -> SnapshotSet:
-    prov = model.provenance
-    if prov.problem is None or prov.lf_profile is None:
-        raise ValidationError(
-            "model provenance lacks a low-fidelity solver configuration; "
-            "online prediction from raw parameters is unavailable"
-        )
-    profile = prov.lf_profile
+    profile = model.provenance.lf_profile
     steps = int(np.ceil(t_end / profile.dt - 1e-12)) if t_end > 0 else 0
     return solvers.generate_dataset(
-        prov.problem, profile, np.array([mu]), steps * profile.dt
+        model.provenance.problem, profile, np.array([mu]), steps * profile.dt
     )
 
 
@@ -287,11 +272,7 @@ def online_predict_detailed(
 ) -> OnlinePrediction:
     """Full online stage for one parameter: solve LF, lift, map, reconstruct."""
     prov = model.provenance
-    if (
-        prov.param_lo is not None
-        and prov.param_hi is not None
-        and not (prov.param_lo <= mu <= prov.param_hi)
-    ):
+    if not (prov.param_lo <= mu <= prov.param_hi):
         warnings.warn(
             f"mu = {mu:g} lies outside the training range "
             f"[{prov.param_lo:g}, {prov.param_hi:g}]; extrapolating",
@@ -323,11 +304,29 @@ def _column_errors(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     return np.where((ref_norm > 0) | (diff_norm > 0), diff_norm / safe, 0.0)
 
 
-def _reference_index(reference: SnapshotSet, mu: float) -> int:
-    matches = np.nonzero(np.isclose(reference.params[:, 0], mu, rtol=1e-12, atol=1e-12))[0]
-    if matches.size == 0:
-        raise CoverageError(f"reference set does not contain mu = {mu:g}")
-    return int(matches[0])
+def reference_indices(
+    model: SurrogateModel, reference: SnapshotSet, mus: np.ndarray, times: np.ndarray
+) -> list[int]:
+    """Index in ``reference`` of each of ``mus``; ``CoverageError`` unless it
+    has the model's rows, the prediction ``times`` and every requested mu."""
+    if reference.n_dof != model.basis.n_dof:
+        raise CoverageError(
+            f"reference has {reference.n_dof} rows, model expects {model.basis.n_dof}"
+        )
+    if reference.times.size != times.size or not np.allclose(
+        reference.times, times, rtol=0, atol=1e-9
+    ):
+        raise CoverageError(
+            "reference time grid does not cover the prediction grid "
+            f"({reference.times.size} vs {times.size} instants)"
+        )
+    indices = []
+    for mu in mus:
+        matches = np.nonzero(np.isclose(reference.params[:, 0], mu, rtol=1e-12, atol=1e-12))[0]
+        if matches.size == 0:
+            raise CoverageError(f"reference set does not contain mu = {mu:g}")
+        indices.append(int(matches[0]))
+    return indices
 
 
 def evaluate(
@@ -346,18 +345,7 @@ def evaluate(
     """
     test_params = np.atleast_1d(np.asarray(test_params, dtype=np.float64))
     times = prediction_times(model, T)
-    if hf_reference.n_dof != model.basis.n_dof:
-        raise CoverageError(
-            f"reference has {hf_reference.n_dof} rows, model expects {model.basis.n_dof}"
-        )
-    if hf_reference.times.size != times.size or not np.allclose(
-        hf_reference.times, times, rtol=0, atol=1e-9
-    ):
-        raise CoverageError(
-            "reference time grid does not cover the prediction grid "
-            f"({hf_reference.times.size} vs {times.size} instants)"
-        )
-    ref_idx = [_reference_index(hf_reference, mu) for mu in test_params]
+    ref_idx = reference_indices(model, hf_reference, test_params, times)
 
     lf_spec = replace(model.lift_spec, dst_times=times)
     err_mf = []
@@ -374,28 +362,21 @@ def evaluate(
 
     time_lf = time_mf = time_hf = float("nan")
     if timing_reps > 0:
-        prov = model.provenance
-        lf_reps, mf_reps, hf_reps = [], [], []
-        for _ in range(timing_reps):
+        prov, t_end = model.provenance, float(times[-1])
+        paths = (
+            lambda mu: _run_lf(model, mu, t_end),
+            lambda mu: online_predict(model, mu, T),
+            lambda mu: solvers.generate_dataset(prov.problem, prov.hf_profile, [mu], t_end),
+        )
+
+        def seconds_per_mu(path) -> float:
             t0 = time.perf_counter()
             for mu in test_params:
-                _run_lf(model, float(mu), float(times[-1]))
-            lf_reps.append((time.perf_counter() - t0) / test_params.size)
-            t0 = time.perf_counter()
-            for mu in test_params:
-                online_predict(model, float(mu), T)
-            mf_reps.append((time.perf_counter() - t0) / test_params.size)
-            if prov.problem is not None and prov.hf_profile is not None:
-                t0 = time.perf_counter()
-                for mu in test_params:
-                    solvers.generate_dataset(
-                        prov.problem, prov.hf_profile, np.array([mu]), float(times[-1])
-                    )
-                hf_reps.append((time.perf_counter() - t0) / test_params.size)
-        time_lf = float(np.median(lf_reps))
-        time_mf = float(np.median(mf_reps))
-        if hf_reps:
-            time_hf = float(np.median(hf_reps))
+                path(float(mu))
+            return (time.perf_counter() - t0) / test_params.size
+
+        reps = [[seconds_per_mu(path) for path in paths] for _ in range(timing_reps)]
+        time_lf, time_mf, time_hf = np.median(reps, axis=0).tolist()
 
     return EvalReport(
         err_mf_percent=float(col_mf.mean()),
@@ -506,9 +487,7 @@ def _lift_from_bytes(buf) -> LiftSpec:
     )
 
 
-def _profile_to_bytes(profile: FidelityProfile | None) -> bytes:
-    if profile is None:
-        return struct.pack("<I", 0)
+def _profile_to_bytes(profile: FidelityProfile) -> bytes:
     return struct.pack(
         "<3I2d",
         1,
@@ -519,10 +498,9 @@ def _profile_to_bytes(profile: FidelityProfile | None) -> bytes:
     )
 
 
-def _profile_from_reader(reader: Reader) -> FidelityProfile | None:
-    present = reader.u32()
-    if not present:
-        return None
+def _profile_from_reader(reader: Reader) -> FidelityProfile:
+    if reader.u32() != 1:
+        raise FormatError("provenance block lacks a fidelity profile")
     fid_code, n = reader.u32(2)
     dt, d = reader.f64(2)
     return FidelityProfile(
@@ -534,38 +512,28 @@ def _profile_from_reader(reader: Reader) -> FidelityProfile | None:
 
 
 def _provenance_to_bytes(prov: Provenance) -> bytes:
-    parts = [_PROV_MAGIC, utf8_bytes(prov.problem or "")]
-    parts.append(_profile_to_bytes(prov.hf_profile))
-    parts.append(_profile_to_bytes(prov.lf_profile))
-    nan = float("nan")
-    parts.append(
-        struct.pack(
-            "<3d",
-            prov.t_train if prov.t_train is not None else nan,
-            prov.param_lo if prov.param_lo is not None else nan,
-            prov.param_hi if prov.param_hi is not None else nan,
-        )
-    )
-    return b"".join(parts)
+    return b"".join([
+        _PROV_MAGIC,
+        utf8_bytes(prov.problem),
+        _profile_to_bytes(prov.hf_profile),
+        _profile_to_bytes(prov.lf_profile),
+        struct.pack("<3d", prov.t_train, prov.param_lo, prov.param_hi),
+    ])
 
 
 def _provenance_from_bytes(buf) -> Provenance:
     reader = Reader(buf, "provenance")
     if reader.take(8) != _PROV_MAGIC:
         raise FormatError("bad provenance block magic")
-    problem = reader.utf8() or None
+    problem = reader.utf8()
     hf_profile = _profile_from_reader(reader)
     lf_profile = _profile_from_reader(reader)
     t_train, lo, hi = reader.f64(3)
     reader.done()
-    return Provenance(
-        problem=problem,
-        hf_profile=hf_profile,
-        lf_profile=lf_profile,
-        t_train=None if np.isnan(t_train) else t_train,
-        param_lo=None if np.isnan(lo) else lo,
-        param_hi=None if np.isnan(hi) else hi,
-    )
+    if not problem or not np.all(np.isfinite([t_train, lo, hi])):
+        raise FormatError("provenance block lacks the problem or the training span")
+    return Provenance(problem=problem, hf_profile=hf_profile, lf_profile=lf_profile,
+                      t_train=t_train, param_lo=lo, param_hi=hi)
 
 
 def save_model(model: SurrogateModel, path: str | Path) -> None:

@@ -114,11 +114,16 @@ def modes_by_energy(sigma: np.ndarray, tol: float) -> int:
     return int(np.argmax(cumulative >= 1.0 - tol**2)) + 1
 
 
-def _numerical_rank(sigma: np.ndarray, m: int, n: int) -> int:
-    if sigma.size == 0 or sigma[0] == 0.0:
+def _numerical_rank(values: np.ndarray, m: int, n: int) -> int:
+    """Count of descending ``values`` above max(m, n) * eps * values[0].
+
+    The Gram route passes the eigenvalues of X^T X, not their square roots,
+    whose noise floor near sqrt(eps) * sigma_0 lies far above this cutoff.
+    """
+    if values.size == 0 or values[0] <= 0.0:
         return 0
-    cutoff = max(m, n) * np.finfo(np.float64).eps * sigma[0]
-    return int(np.count_nonzero(sigma > cutoff))
+    cutoff = max(m, n) * np.finfo(np.float64).eps * values[0]
+    return int(np.count_nonzero(values > cutoff))
 
 
 def _orthonormalize(u: np.ndarray) -> np.ndarray:
@@ -151,8 +156,9 @@ def build_basis(snaps: SnapshotSet, rule: PodRule) -> PodBasis:
         gram = 0.5 * (gram + gram.T)
         eigvals, eigvecs = np.linalg.eigh(gram)
         order = np.argsort(eigvals)[::-1]
-        sigma = np.sqrt(np.clip(eigvals[order], 0.0, None))
-        n_pod = _resolve_count(sigma, m, n, rule)
+        lam = eigvals[order]
+        sigma = np.sqrt(np.clip(lam, 0.0, None))
+        n_pod = _resolve_count(sigma, _numerical_rank(lam, m, n), rule)
         right = eigvecs[:, order[:n_pod]]
         safe = np.maximum(sigma[:n_pod], np.finfo(np.float64).tiny)
         modes = (x @ right) / safe
@@ -161,7 +167,7 @@ def build_basis(snaps: SnapshotSet, rule: PodRule) -> PodBasis:
             modes = _orthonormalize(modes)
     else:
         u, sigma, _ = thin_svd(x)
-        n_pod = _resolve_count(sigma, m, n, rule)
+        n_pod = _resolve_count(sigma, _numerical_rank(sigma, m, n), rule)
         modes = u[:, :n_pod]
     _fix_signs(modes)
 
@@ -176,11 +182,10 @@ def build_basis(snaps: SnapshotSet, rule: PodRule) -> PodBasis:
     )
 
 
-def _resolve_count(sigma: np.ndarray, m: int, n: int, rule: PodRule) -> int:
+def _resolve_count(sigma: np.ndarray, rank: int, rule: PodRule) -> int:
     if rule.tol is not None:
         return modes_by_energy(sigma, rule.tol)
-    rank = max(_numerical_rank(sigma, m, n), 1)
-    return min(rule.n_modes, rank, sigma.size)
+    return min(rule.n_modes, max(rank, 1), sigma.size)
 
 
 def project(basis: PodBasis, snaps: SnapshotSet) -> CoefficientSeries:
@@ -199,8 +204,7 @@ def project(basis: PodBasis, snaps: SnapshotSet) -> CoefficientSeries:
     )
 
 
-def reconstruct(basis: PodBasis, series: CoefficientSeries,
-                fidelity: str = "HF") -> SnapshotSet:
+def reconstruct(basis: PodBasis, series: CoefficientSeries) -> SnapshotSet:
     """Full fields from reduced coefficients: modes @ coeffs (+ mean)."""
     coeffs = require_matrix(series.coeffs, "coefficients")
     if coeffs.shape[0] != basis.n_pod:
@@ -211,7 +215,7 @@ def reconstruct(basis: PodBasis, series: CoefficientSeries,
     if basis.snapshot_mean is not None:
         data = data + basis.snapshot_mean[:, None]
     return SnapshotSet(
-        fidelity=fidelity,
+        fidelity="HF",
         data=data,
         grid=basis.grid,
         times=series.times,

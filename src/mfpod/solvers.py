@@ -27,6 +27,7 @@ identical configs give bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,11 +40,12 @@ from .snapshots import ParameterGrid, SnapshotSet
 class RdConfig:
     """Reaction-diffusion run: reaction strength ``mu``, diffusion ``d``."""
 
+    L: ClassVar[float] = 20.0
+
     n: int
     T: float
     mu: float
     d: float = 0.05
-    L: float = 20.0
     dt: float = 0.05
 
     def __post_init__(self):
@@ -56,11 +58,12 @@ class RdConfig:
 class SwConfig:
     """Shallow-water vorticity run: advection strength ``mu``, diffusion ``d``."""
 
+    L: ClassVar[float] = 10.0
+
     n: int
     T: float = 20.0
     mu: float = 3.0
     d: float = 0.001
-    L: float = 10.0
     dt: float = 0.25
 
     def __post_init__(self):
@@ -250,28 +253,13 @@ def solve_sw(cfg: SwConfig, ic: np.ndarray | None = None) -> tuple[np.ndarray, n
     return times, _integrate(state_hat, rhs, times, cfg.dt)
 
 
-_RD_FIELDS = ("u", "v")
-_SW_FIELDS = ("omega",)
-
-
-def _solve_one(problem: str, profile: FidelityProfile, mu: float, T: float):
-    if problem == "rd":
-        cfg = RdConfig(n=profile.n, T=T, mu=mu, dt=profile.dt,
-                       d=profile.d if profile.d is not None else 0.05)
-        return solve_rd(cfg)
-    if problem == "sw":
-        cfg = SwConfig(n=profile.n, T=T, mu=mu, dt=profile.dt,
-                       d=profile.d if profile.d is not None else 0.001)
-        return solve_sw(cfg)
-    raise ValidationError(f"unknown problem {problem!r} (expected 'rd' or 'sw')")
-
-
-def problem_grid(problem: str, n: int) -> Grid2D:
-    if problem == "rd":
-        return Grid2D(n, 20.0)
-    if problem == "sw":
-        return Grid2D(n, 10.0)
-    raise ValidationError(f"unknown problem {problem!r} (expected 'rd' or 'sw')")
+def _problem(name: str):
+    """Run config class, solver and field names of a benchmark problem."""
+    if name == "rd":
+        return RdConfig, solve_rd, ("u", "v")
+    if name == "sw":
+        return SwConfig, solve_sw, ("omega",)
+    raise ValidationError(f"unknown problem {name!r} (expected 'rd' or 'sw')")
 
 
 def generate_dataset(
@@ -288,15 +276,17 @@ def generate_dataset(
     values = params.values if isinstance(params, ParameterGrid) else np.asarray(params, float)
     if values.ndim != 1 or values.size < 1:
         raise ValidationError("parameter values must be a nonempty 1-D vector")
-    grid = problem_grid(problem, profile.n)
-    field_names = _RD_FIELDS if problem == "rd" else _SW_FIELDS
+    config, solve, field_names = _problem(problem)
+    extra = {} if profile.d is None else {"d": profile.d}
+    grid = Grid2D(profile.n, config.L)
     times = _times(T, profile.dt)
     data = np.empty((len(field_names) * grid.n**2, values.size * times.size),
                     dtype=np.float64, order="F")
     blocks = data.reshape(data.shape[0], values.size, times.size)
     for i, mu in enumerate(values):
         try:
-            blocks[:, i] = _solve_one(problem, profile, float(mu), T)[1]
+            cfg = config(n=profile.n, T=T, mu=float(mu), dt=profile.dt, **extra)
+            blocks[:, i] = solve(cfg)[1]
         except InstabilityError as exc:
             raise InstabilityError(f"mu = {mu:g}: {exc}") from exc
     return SnapshotSet(

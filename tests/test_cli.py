@@ -106,9 +106,11 @@ def test_generate_rejects_unknown_config_key(tmp_path):
     {"search": {"space": {"hidden": 5}}},
     {"paths": {"out_dir": "x"}},
     {"t_final": float("nan")},
+    {"train": {"beta1": 0.9}},
+    {"search": {"space": {"adam_eps": [1e-8]}}},
 ], ids=["hf.n-str", "hf.n-bool", "params.lo-str", "params-no-count", "test_params-str",
         "test_params-count-0", "train.hidden-str", "pod.n_modes-str", "search.space-scalar",
-        "paths", "t_final-nan"])
+        "paths", "t_final-nan", "train.beta1", "search.space.adam_eps"])
 def test_generate_rejects_malformed_config_value(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     code = main(["generate", "--config", str(cfg), "--fidelity", "hf", "--role", "test",
@@ -187,6 +189,19 @@ def test_train_seed_env_override(workspace, tmp_path, monkeypatch):
     assert out_env.read_bytes() != (workspace / "model.mfsurr").read_bytes()
 
 
+@pytest.mark.parametrize("missing", ["problem", "hf", "lf"])
+def test_train_without_solver_setup_exits_2(workspace, tmp_path, capsys, missing):
+    raw = json.loads((workspace / "cfg.json").read_text())
+    del raw[missing]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code = main(["train", "--config", str(cfg), "--hf", str(workspace / "hf.mfsnap"),
+                 "--lf", str(workspace / "lf.mfsnap"), "--out", str(tmp_path / "m.mfsurr")])
+    assert code == 2
+    assert repr(missing) in capsys.readouterr().err
+    assert not (tmp_path / "m.mfsurr").exists()
+
+
 def test_train_forged_snapshot_header_exits_2(workspace, tmp_path, capsys):
     forged = bytearray((workspace / "hf.mfsnap").read_bytes())
     forged[8:12] = (1 << 31).to_bytes(4, "little")  # n_dof
@@ -249,6 +264,19 @@ def test_predict_t0_single_row(workspace, tmp_path):
                  "--mu", "0.75", "--T", "0", "--out", str(out)]) == 0
     csv_lines = (tmp_path / "p0.mfsnap.coef.csv").read_text().splitlines()
     assert len(csv_lines) == 2  # header + one time instant
+
+
+def test_predict_reference_on_other_grid_exits_4(workspace, tmp_path):
+    # a 32^2 reference for the 16^2 model: the same check as evaluate's
+    cfg = write_config(tmp_path / "cfg.json", hf={"n": 32, "dt": 0.05, "d": 0.05})
+    ref = tmp_path / "ref32.mfsnap"
+    assert main(["generate", "--config", str(cfg), "--fidelity", "hf", "--role", "test",
+                 "--out", str(ref)]) == 0
+    out = tmp_path / "pred.mfsnap"
+    code = main(["predict", "--model", str(workspace / "model.mfsurr"), "--mu", "0.75",
+                 "--T", "5", "--out", str(out), "--reference", str(ref)])
+    assert code == 4
+    assert not out.exists()
 
 
 def test_predict_unknown_model_exits_2(tmp_path):

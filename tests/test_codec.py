@@ -203,6 +203,19 @@ def test_malformed_basis_block_is_format_error(tmp_path, defect):
         load_model(path)
 
 
+@pytest.mark.parametrize("profile", ["hf", "lf"])
+def test_provenance_without_profile_is_format_error(tmp_path, profile):
+    begin = block_offsets(GOOD["surr"])[3]
+    block = GOOD["surr"][begin:]
+    # magic, the problem "rd" (u32 length + 2 bytes), then two 28-byte profiles
+    at = 8 + 6 + (0 if profile == "hf" else 28)
+    absent = block[:at] + struct.pack("<I", 0) + block[at + 28 :]
+    path = tmp_path / "model.mfsurr"
+    path.write_bytes(with_block(GOOD["surr"], 3, absent))
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------

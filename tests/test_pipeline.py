@@ -70,7 +70,8 @@ def test_offline_train_rejects_parameter_mismatch(tiny_sets):
     hf, _ = tiny_sets
     other = generate_dataset("rd", LF_PROF, np.array([0.6, 1.0, 1.4]), 4.0)
     with pytest.raises(AlignmentError):
-        offline_train(hf, other, PodRule(n_modes=4), TrainConfig(epochs=1, k_window=8))
+        offline_train(hf, other, PodRule(n_modes=4), TrainConfig(epochs=1, k_window=8),
+                      problem="rd", hf_profile=HF_PROF, lf_profile=LF_PROF)
 
 
 def test_surrogate_rejects_inconsistent_parts(tiny_model):

@@ -57,9 +57,12 @@ def test_fixed_rule_keeps_requested_count():
     assert basis.sigma.size == 12
 
 
-def test_fixed_rule_clamps_to_rank():
+@pytest.mark.parametrize("shape", [(30, 10), (2048, 1100)], ids=["svd", "gram"])
+def test_fixed_rule_clamps_to_rank(shape):
+    # 1100 columns take the Gram route, whose sqrt-eigenvalue noise floor
+    # lies far above the SVD rank cutoff
     rng = np.random.default_rng(1)
-    low_rank = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 10))
+    low_rank = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
     basis = build_basis(as_set(low_rank), PodRule(n_modes=8))
     assert basis.n_pod == 3
 
