@@ -141,8 +141,7 @@ def _seed(cfg: dict) -> int:
 
 def _train_config(cfg: dict) -> TrainConfig:
     section = dict(cfg.get("train", {}))
-    section.setdefault("seed", _seed(cfg))
-    if os.environ.get("MFPOD_SEED") is not None:
+    if "seed" not in section or os.environ.get("MFPOD_SEED") is not None:
         section["seed"] = _seed(cfg)
     return TrainConfig(**section)
 

@@ -72,6 +72,13 @@ class Reader:
             raise FormatError(f"trailing bytes after {self.what} block")
 
 
+def decode_name(code: int, names: tuple[str, ...], what: str) -> str:
+    """The name a file's ``code`` stands for, its index in ``names``; ``FormatError`` if none."""
+    if code >= len(names):
+        raise FormatError(f"unknown {what} code {code}")
+    return names[code]
+
+
 def dump_f64(arr: np.ndarray, order: str = "C") -> memoryview:
     """Little-endian f64 bytes of ``arr`` in ``order``; no copy when already laid out so."""
     return memoryview(np.asarray(arr, dtype="<f8").ravel(order=order)).cast("B")

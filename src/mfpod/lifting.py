@@ -28,7 +28,8 @@ from .numerics import Grid2D, bilinear_weight_map, interp_time, nearest_index_ma
 from .pod import CoefficientSeries, PodBasis
 from .snapshots import SnapshotSet
 
-_MODES = ("nearest", "bilinear")
+# spatial lift modes; a mode's file code is its index
+SPATIAL_MODES = ("nearest", "bilinear")
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,9 @@ class LiftSpec:
     dst_times: np.ndarray
 
     def __post_init__(self):
-        if self.spatial_mode not in _MODES:
+        if self.spatial_mode not in SPATIAL_MODES:
             raise ValidationError(
-                f"spatial_mode must be one of {_MODES}, got {self.spatial_mode!r}"
+                f"spatial_mode must be one of {SPATIAL_MODES}, got {self.spatial_mode!r}"
             )
         object.__setattr__(
             self, "dst_times", np.asarray(self.dst_times, dtype=np.float64)

@@ -294,6 +294,16 @@ def _backward_stacked(layers, readout, cache, d_y):
     return layer_grads, d_w_out, d_b_out
 
 
+def _mlp_forward(weights, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """tanh hidden layers and a linear readout; returns the normalized output
+    and the input of every layer, which training's backward pass reuses."""
+    acts = [x]
+    for w, b in weights[:-1]:
+        acts.append(np.tanh(acts[-1] @ w.T + b))
+    w, b = weights[-1]
+    return acts[-1] @ w.T + b, acts
+
+
 def static_forward(model: StaticModel, x: np.ndarray) -> np.ndarray:
     """Feed-forward pass over already-normalized rows, denormalized output."""
     h = np.asarray(x, dtype=np.float64)
@@ -301,10 +311,7 @@ def static_forward(model: StaticModel, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input must be (n, {model.layout.n_features}), got {h.shape}"
         )
-    for w, b in model.weights[:-1]:
-        h = np.tanh(h @ w.T + b)
-    w, b = model.weights[-1]
-    return model.output_norm.decode(h @ w.T + b)
+    return model.output_norm.decode(_mlp_forward(model.weights, h)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +538,8 @@ def train_static_baseline(
     flat = [arr for pair in weights for arr in pair]
     scale_sq = out_norm.std**2
 
-    def forward_cached(x):
-        acts = [x]
-        h = x
-        for w, b in weights[:-1]:
-            h = np.tanh(h @ w.T + b)
-            acts.append(h)
-        w, b = weights[-1]
-        return h @ w.T + b, acts
-
     def batch_sse_grads(idx):
-        pred, acts = forward_cached(xn[idx])
+        pred, acts = _mlp_forward(weights, xn[idx])
         resid = pred - yn[idx]
         sse = float((resid**2 * scale_sq).sum())
         delta = (2.0 / idx.size) * resid * scale_sq
@@ -554,7 +552,7 @@ def train_static_baseline(
         return sse, [arr for pair in reversed(grads_rev) for arr in pair]
 
     def validation_loss() -> float:
-        pred, _ = forward_cached(x_val)
+        pred, _ = _mlp_forward(weights, x_val)
         return float(((pred - y_val) ** 2 * scale_sq).sum() / x_val.shape[0])
 
     best, history = _fit(cfg, rng, flat, xn.shape[0], cfg.n_batch * cfg.k_window,
@@ -663,7 +661,7 @@ def hyperparameter_search(
               for i in picks]
 
     trials = []
-    best_idx = -1
+    best_idx = 0
     best_loss = np.inf
     for ti, combo in enumerate(combos):
         overrides = dict(zip(keys, combo))
@@ -673,18 +671,15 @@ def hyperparameter_search(
             model = train(lf, hf, cfg)
             vals = [v for _, _, v in model.history if np.isfinite(v)]
             loss = min(vals) if vals else float("inf")
-            record["val_loss"] = loss
             record["status"] = "ok"
         except TrainingError as exc:
             loss = float("inf")
-            record["val_loss"] = loss
             record["status"] = f"diverged: {exc}"
+        record["val_loss"] = loss
         trials.append(record)
         if loss < best_loss:
             best_loss = loss
             best_idx = ti
-    if best_idx < 0:
-        best_idx = 0
     best_cfg = replace(base, **dict(zip(keys, combos[best_idx])))
     return best_cfg, trials
 

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solvers
-from .codec import Reader, dump_f64, utf8_bytes, write_atomic
+from .codec import Reader, decode_name, dump_f64, utf8_bytes, write_atomic
 from .errors import (
     AlignmentError,
     CoverageError,
@@ -42,11 +42,11 @@ from .errors import (
     StorageError,
     ValidationError,
 )
-from .lifting import LiftSpec, lift, lift_project, reduced_stencil
+from .lifting import SPATIAL_MODES, LiftSpec, lift, lift_project, reduced_stencil
 from .mflstm import LstmModel, lstm_from_bytes, lstm_to_bytes, predict, train
 from .numerics import Grid2D
 from .pod import CoefficientSeries, PodBasis, PodRule, build_basis, project, reconstruct
-from .snapshots import SnapshotSet
+from .snapshots import FIDELITIES, SnapshotSet
 from .solvers import FidelityProfile
 
 SURROGATE_MAGIC = b"MFSURR01"
@@ -203,11 +203,7 @@ def offline_prepare(
     spatial_mode: str = "bilinear",
 ) -> OfflineData:
     """Build the basis from HF alone, then project HF and lift-project LF onto it."""
-    if hf.data.size == 0 or hf.n_mu < 1:
-        raise ValidationError("high-fidelity snapshot set is empty")
-    if hf.params.shape != lf.params.shape or not np.allclose(
-        hf.params, lf.params, rtol=0, atol=0
-    ):
+    if not np.array_equal(hf.params, lf.params):
         raise AlignmentError(
             "high- and low-fidelity sets must be sampled at the same parameters"
         )
@@ -237,6 +233,7 @@ def offline_train(
     val_every: int = 1,
 ) -> SurrogateModel:
     """Run the four offline stages and assemble the deployable surrogate."""
+    solvers._problem(problem)  # the model re-runs this problem's LF solver online
     data = offline_prepare(hf, lf, pod_rule, spatial_mode)
     lstm = train(data.coef_lf, data.coef_hf, train_cfg, val_every=val_every)
     provenance = Provenance(
@@ -253,10 +250,7 @@ def offline_train(
 
 def prediction_times(model: SurrogateModel, T: float) -> np.ndarray:
     """High-fidelity-cadence time grid over [0, T] used for predictions."""
-    if T < 0:
-        raise ValidationError(f"final time must be nonnegative, got T={T}")
-    dt = model.provenance.hf_profile.dt
-    return dt * np.arange(int(round(T / dt)) + 1)
+    return solvers.time_grid(T, model.provenance.hf_profile.dt)
 
 
 def _run_lf(model: SurrogateModel, mu: float, t_end: float) -> SnapshotSet:
@@ -448,17 +442,13 @@ def _basis_from_bytes(buf) -> PodBasis:
     )
 
 
-_MODE_CODES = {"nearest": 0, "bilinear": 1}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-
-
 def _lift_to_bytes(spec: LiftSpec) -> bytes:
     return b"".join(
         [
             _LIFT_MAGIC,
             struct.pack(
                 "<4I",
-                _MODE_CODES[spec.spatial_mode],
+                SPATIAL_MODES.index(spec.spatial_mode),
                 spec.src_grid.n,
                 spec.dst_grid.n,
                 spec.dst_times.size,
@@ -477,10 +467,8 @@ def _lift_from_bytes(buf) -> LiftSpec:
     src_l, dst_l = reader.f64(2)
     times = reader.f64_array(n_times)
     reader.done()
-    if mode not in _MODE_NAMES:
-        raise FormatError(f"unknown lift mode code {mode}")
     return LiftSpec(
-        spatial_mode=_MODE_NAMES[mode],
+        spatial_mode=decode_name(mode, SPATIAL_MODES, "lift mode"),
         src_grid=Grid2D(src_n, src_l),
         dst_grid=Grid2D(dst_n, dst_l),
         dst_times=times,
@@ -491,7 +479,7 @@ def _profile_to_bytes(profile: FidelityProfile) -> bytes:
     return struct.pack(
         "<3I2d",
         1,
-        0 if profile.fidelity == "HF" else 1,
+        FIDELITIES.index(profile.fidelity),
         profile.n,
         profile.dt,
         profile.d if profile.d is not None else float("nan"),
@@ -504,7 +492,7 @@ def _profile_from_reader(reader: Reader) -> FidelityProfile:
     fid_code, n = reader.u32(2)
     dt, d = reader.f64(2)
     return FidelityProfile(
-        fidelity="HF" if fid_code == 0 else "LF",
+        fidelity=decode_name(fid_code, FIDELITIES, "fidelity"),
         n=n,
         dt=dt,
         d=None if np.isnan(d) else d,

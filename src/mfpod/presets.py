@@ -13,7 +13,7 @@ dt_lf = 0.1 / dt_hf = 0.025, preserving the 4x step ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,16 @@ SW_N_POD = 17
 SW_HF_REFERENCE = FidelityProfile(fidelity="HF", n=200, dt=0.25)
 SW_LF_REFERENCE = FidelityProfile(fidelity="LF", n=50, dt=1.00)
 SW_LIFT_MODE = "bilinear"
+
+# Network and optimizer of both desk bundles; each bundle sets only the seed.
+DESK_TRAIN = TrainConfig(
+    hidden=64,
+    n_layers=1,
+    k_window=40,
+    n_batch=32,
+    epochs=1200,
+    learning_rate=1e-3,
+)
 
 
 @dataclass(frozen=True)
@@ -72,15 +82,7 @@ def rd_desk(seed: int = 0) -> BenchmarkBundle:
         t_final=RD_T_FINAL,
         pod_rule=PodRule(n_modes=RD_N_POD),
         spatial_mode=RD_LIFT_MODE,
-        train_cfg=TrainConfig(
-            hidden=64,
-            n_layers=1,
-            k_window=40,
-            n_batch=32,
-            epochs=1200,
-            learning_rate=1e-3,
-            seed=seed,
-        ),
+        train_cfg=replace(DESK_TRAIN, seed=seed),
     )
 
 
@@ -96,13 +98,5 @@ def sw_desk(seed: int = 0) -> BenchmarkBundle:
         t_final=SW_T_FINAL,
         pod_rule=PodRule(n_modes=SW_N_POD),
         spatial_mode=SW_LIFT_MODE,
-        train_cfg=TrainConfig(
-            hidden=64,
-            n_layers=1,
-            k_window=40,
-            n_batch=32,
-            epochs=1200,
-            learning_rate=1e-3,
-            seed=seed,
-        ),
+        train_cfg=replace(DESK_TRAIN, seed=seed),
     )

@@ -25,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Reader, dump_f64, utf8_bytes, write_atomic
+from .codec import Reader, decode_name, dump_f64, utf8_bytes, write_atomic
 from .errors import DataError, FormatError, ShapeError, StorageError, ValidationError
 from .numerics import Grid2D
 
 MAGIC = b"MFSNAP01"
 HEADER_SIZE = 64
-_FIDELITY_CODES = {"HF": 0, "LF": 1}
-_FIDELITY_NAMES = {v: k for k, v in _FIDELITY_CODES.items()}
+# fidelity levels; a level's file code is its index
+FIDELITIES = ("HF", "LF")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class SnapshotSet:
     field_names: tuple[str, ...]
 
     def __post_init__(self):
-        if self.fidelity not in _FIDELITY_CODES:
+        if self.fidelity not in FIDELITIES:
             raise ValidationError(f"fidelity must be 'HF' or 'LF', got {self.fidelity!r}")
         self.data = np.asfortranarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
@@ -144,7 +144,7 @@ def write_snapshots(snaps: SnapshotSet, path: str | Path) -> None:
         snaps.p,
         snaps.grid.n,
         len(snaps.field_names),
-        _FIDELITY_CODES[snaps.fidelity],
+        FIDELITIES.index(snaps.fidelity),
     )
     header += b"\x00" * (HEADER_SIZE - len(header))
     parts = [
@@ -172,8 +172,7 @@ def read_snapshots(path: str | Path) -> SnapshotSet:
             if magic != MAGIC:
                 raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
             n_dof, n_t, n_mu, p, n_grid, field_count, fid_code = header.u32(7)
-            if fid_code not in _FIDELITY_NAMES:
-                raise FormatError(f"unknown fidelity code {fid_code}")
+            fidelity = decode_name(fid_code, FIDELITIES, "fidelity")
             least = mfsnap_file_size(n_dof, n_t, n_mu, p, ()) + 4 * field_count
             if least > size:
                 raise FormatError(
@@ -191,7 +190,7 @@ def read_snapshots(path: str | Path) -> SnapshotSet:
     except OSError as exc:
         raise StorageError(f"cannot read snapshots from {path}: {exc}") from exc
     return SnapshotSet(
-        fidelity=_FIDELITY_NAMES[fid_code],
+        fidelity=fidelity,
         data=np.frombuffer(payload, dtype="<f8").reshape((n_dof, n_mu * n_t), order="F"),
         grid=Grid2D(n_grid, length),
         times=times,
@@ -215,29 +214,20 @@ def ingest_external(
     in parameter-major column order; this is how third-party solver output
     (e.g. finite-element fields) enters the pipeline.
     """
-    times = np.asarray(times, dtype=np.float64)
-    params = np.asarray(params, dtype=np.float64)
-    if params.ndim == 1:
-        params = params[:, None]
     try:
         raw = np.fromfile(data_path, dtype="<f8")
     except OSError as exc:
         raise StorageError(f"cannot read payload from {data_path}: {exc}") from exc
     if n_dof < 1:
         raise ValidationError(f"declared n_dof must be positive, got {n_dof}")
-    if raw.size % n_dof != 0:
-        raise ShapeError(
-            f"payload length {raw.size} is not divisible by declared n_dof {n_dof}"
-        )
-    expected = n_dof * params.shape[0] * times.size
+    expected = n_dof * len(params) * np.size(times)
     if raw.size != expected:
         raise ShapeError(
             f"payload holds {raw.size} values, expected n_dof*n_mu*n_t = {expected}"
         )
-    data = raw.reshape((n_dof, params.shape[0] * times.size), order="F")
     return SnapshotSet(
         fidelity=fidelity,
-        data=data,
+        data=raw.reshape((n_dof, -1), order="F"),
         grid=grid_spec,
         times=times,
         params=params,

@@ -33,11 +33,24 @@ import numpy as np
 
 from .errors import InstabilityError, ValidationError
 from .numerics import Grid2D
-from .snapshots import ParameterGrid, SnapshotSet
+from .snapshots import FIDELITIES, ParameterGrid, SnapshotSet
+
+
+class _RunChecks:
+    """Checks every run config makes on its grid size, step, span and diffusion."""
+
+    def __post_init__(self):
+        Grid2D(self.n, self.L)
+        if not (self.dt > 0):
+            raise ValidationError(f"time step must be positive, got dt={self.dt}")
+        if self.T < 0:
+            raise ValidationError(f"final time must be nonnegative, got T={self.T}")
+        if not (self.d > 0):
+            raise ValidationError(f"diffusion coefficient must be positive, got {self.d}")
 
 
 @dataclass
-class RdConfig:
+class RdConfig(_RunChecks):
     """Reaction-diffusion run: reaction strength ``mu``, diffusion ``d``."""
 
     L: ClassVar[float] = 20.0
@@ -48,14 +61,9 @@ class RdConfig:
     d: float = 0.05
     dt: float = 0.05
 
-    def __post_init__(self):
-        _check_common(self.n, self.dt, self.T)
-        if not (self.d > 0):
-            raise ValidationError(f"diffusion coefficient must be positive, got {self.d}")
-
 
 @dataclass
-class SwConfig:
+class SwConfig(_RunChecks):
     """Shallow-water vorticity run: advection strength ``mu``, diffusion ``d``."""
 
     L: ClassVar[float] = 10.0
@@ -65,11 +73,6 @@ class SwConfig:
     mu: float = 3.0
     d: float = 0.001
     dt: float = 0.25
-
-    def __post_init__(self):
-        _check_common(self.n, self.dt, self.T)
-        if not (self.d > 0):
-            raise ValidationError(f"diffusion coefficient must be positive, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class FidelityProfile:
     d: float | None = None
 
     def __post_init__(self):
-        if self.fidelity not in ("HF", "LF"):
+        if self.fidelity not in FIDELITIES:
             raise ValidationError(f"fidelity must be 'HF' or 'LF', got {self.fidelity!r}")
         if self.n < 4 or self.n % 2:
             raise ValidationError(f"profile grid size must be even and >= 4, got {self.n}")
@@ -94,18 +97,11 @@ class FidelityProfile:
             raise ValidationError(f"profile time step must be positive, got {self.dt}")
 
 
-def _check_common(n: int, dt: float, T: float) -> None:
-    if n < 4 or n % 2:
-        raise ValidationError(f"grid size must be even and >= 4, got n={n}")
-    if not (dt > 0):
-        raise ValidationError(f"time step must be positive, got dt={dt}")
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """Snapshot times of a run over [0, T] at step ``dt``: round(T/dt) + 1 of them."""
     if T < 0:
         raise ValidationError(f"final time must be nonnegative, got T={T}")
-
-
-def _times(T: float, dt: float) -> np.ndarray:
-    steps = int(round(T / dt))
-    return dt * np.arange(steps + 1)
+    return dt * np.arange(int(round(T / dt)) + 1)
 
 
 def rd_initial(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +216,7 @@ def solve_rd(
         reaction = np.fft.rfft2(np.stack((growth * u + rotation * v, growth * v - rotation * u)))
         return reaction - diffusion * hat, fields
 
-    times = _times(cfg.T, cfg.dt)
+    times = time_grid(cfg.T, cfg.dt)
     return times, _integrate(state_hat, rhs, times, cfg.dt)
 
 
@@ -249,7 +245,7 @@ def solve_sw(cfg: SwConfig, ic: np.ndarray | None = None) -> tuple[np.ndarray, n
         bracket = np.fft.rfft2(psi_x * w_y - psi_y * w_x)
         return -cfg.mu * bracket - diffusion * hat, w[None]
 
-    times = _times(cfg.T, cfg.dt)
+    times = time_grid(cfg.T, cfg.dt)
     return times, _integrate(state_hat, rhs, times, cfg.dt)
 
 
@@ -279,7 +275,7 @@ def generate_dataset(
     config, solve, field_names = _problem(problem)
     extra = {} if profile.d is None else {"d": profile.d}
     grid = Grid2D(profile.n, config.L)
-    times = _times(T, profile.dt)
+    times = time_grid(T, profile.dt)
     data = np.empty((len(field_names) * grid.n**2, values.size * times.size),
                     dtype=np.float64, order="F")
     blocks = data.reshape(data.shape[0], values.size, times.size)

@@ -202,6 +202,16 @@ def test_train_without_solver_setup_exits_2(workspace, tmp_path, capsys, missing
     assert not (tmp_path / "m.mfsurr").exists()
 
 
+def test_train_unknown_problem_exits_2(workspace, tmp_path, capsys):
+    # predict could not re-run an unknown problem's LF solver, so train refuses it
+    cfg = write_config(tmp_path / "cfg.json", problem="xx")
+    code = main(["train", "--config", str(cfg), "--hf", str(workspace / "hf.mfsnap"),
+                 "--lf", str(workspace / "lf.mfsnap"), "--out", str(tmp_path / "m.mfsurr")])
+    assert code == 2
+    assert "unknown problem 'xx'" in capsys.readouterr().err
+    assert not (tmp_path / "m.mfsurr").exists()
+
+
 def test_train_forged_snapshot_header_exits_2(workspace, tmp_path, capsys):
     forged = bytearray((workspace / "hf.mfsnap").read_bytes())
     forged[8:12] = (1 << 31).to_bytes(4, "little")  # n_dof

@@ -216,6 +216,28 @@ def test_provenance_without_profile_is_format_error(tmp_path, profile):
         load_model(path)
 
 
+@pytest.mark.parametrize("field", ["snapshot fidelity", "lift mode", "hf profile fidelity"])
+def test_unknown_code_is_format_error(tmp_path, field):
+    # every block maps its codes through the same table its writer uses
+    if field == "snapshot fidelity":
+        blob = bytearray(GOOD["snap"])
+        struct.pack_into("<I", blob, 32, 7)
+        reader = read_snapshots
+    else:
+        index = 1 if field == "lift mode" else 3
+        begin = block_offsets(GOOD["surr"])[index]
+        (size,) = struct.unpack_from("<Q", GOOD["surr"], begin - 8)
+        block = bytearray(GOOD["surr"][begin : begin + size])
+        # after the magic; the profile code follows the problem "rd" and the profile flag
+        struct.pack_into("<I", block, 8 if index == 1 else 8 + 6 + 4, 7)
+        blob = with_block(GOOD["surr"], index, bytes(block))
+        reader = load_model
+    path = tmp_path / "forged"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unknown .* code 7"):
+        reader(path)
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------

@@ -112,13 +112,11 @@ def test_rd_determinism_bitwise():
     assert np.array_equal(first, second)
 
 
-def test_rd_config_validation():
+@pytest.mark.parametrize("config", [RdConfig, SwConfig])
+@pytest.mark.parametrize("key, value", [("n", 15), ("dt", -0.1), ("d", 0.0), ("T", -1.0)])
+def test_run_config_validation(config, key, value):
     with pytest.raises(ValidationError):
-        RdConfig(n=15, T=1.0, mu=1.0)
-    with pytest.raises(ValidationError):
-        RdConfig(n=16, T=1.0, mu=1.0, dt=-0.1)
-    with pytest.raises(ValidationError):
-        RdConfig(n=16, T=1.0, mu=1.0, d=0.0)
+        config(**{"n": 16, "T": 1.0, "mu": 1.0, key: value})
 
 
 # ---------------------------------------------------------------------------
