@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of every artifact a small end-to-end run produces.
+
+Covers both problems (rd and sw, 16^2 high fidelity against 8^2 low
+fidelity), both lift modes and both basis kinds (raw and centred). For each
+combination it hashes the trained MFSURR file, the training history, the
+evaluate CSV and summary, an online prediction, the live and the reloaded
+stencil, the re-saved model, the static baseline's predictions and a seeded
+hyperparameter search; each problem adds its three MFSNAP files. One line per
+artifact, ``sha256  name``, in a fixed order.
+
+A refactor meant to leave every output unchanged is checked by running the
+probe against two source trees and diffing the lines, e.g. from the root of
+the repository with the other tree checked out in ../parent:
+
+    export OPENBLAS_NUM_THREADS=1
+    diff <(PYTHONPATH=../parent/src python scripts/identity_probe.py) \\
+         <(PYTHONPATH=src python scripts/identity_probe.py)
+
+Only API that has been stable across those refactors is used, so the probe
+runs against older trees too.
+"""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from mfpod import pipeline
+from mfpod.mflstm import TrainConfig, hyperparameter_search, predict, train_static_baseline
+from mfpod.pod import PodRule
+from mfpod.snapshots import ParameterGrid, write_snapshots
+from mfpod.solvers import FidelityProfile, generate_dataset
+
+# problem -> (HF profile, LF profile, training parameter range)
+PROBLEMS = {
+    "rd": (FidelityProfile("HF", 16, 0.05, 0.05), FidelityProfile("LF", 8, 0.1, 0.1), (0.5, 1.5)),
+    "sw": (FidelityProfile("HF", 16, 0.1), FidelityProfile("LF", 8, 0.2), (1.0, 5.0)),
+}
+T_TRAIN, T_FINAL = 2.0, 3.0
+CFG = TrainConfig(hidden=8, k_window=8, n_batch=8, epochs=15, learning_rate=3e-3, seed=2)
+SPACE = {"hidden": [4, 8], "learning_rate": [1e-3, 3e-3]}
+
+
+def digest(value) -> str:
+    if isinstance(value, np.ndarray):
+        head = f"{value.shape} {value.dtype}".encode()
+        value = head + np.ascontiguousarray(value).tobytes()
+    elif isinstance(value, str):
+        value = value.encode("utf-8")
+    return hashlib.sha256(value).hexdigest()
+
+
+def artifacts(work: Path):
+    """Yield (name, bytes, text or array) for every artifact, in a fixed order."""
+    for problem, (hf_prof, lf_prof, (lo, hi)) in PROBLEMS.items():
+        grid = ParameterGrid(lo, hi, 3)
+        mus = grid.midpoints(2)
+        hf = generate_dataset(problem, hf_prof, grid, T_TRAIN)
+        lf = generate_dataset(problem, lf_prof, grid, T_TRAIN)
+        ref = generate_dataset(problem, hf_prof, mus, T_FINAL)
+        for name, snaps in (("hf", hf), ("lf", lf), ("ref", ref)):
+            write_snapshots(snaps, work / name)
+            yield f"{problem}/{name}.mfsnap", (work / name).read_bytes()
+
+        for lift in ("nearest", "bilinear"):
+            for center in (False, True):
+                tag = f"{problem}/{lift}/{'centred' if center else 'raw'}"
+                rule = PodRule(n_modes=4, center=center)
+                model = pipeline.offline_train(
+                    hf, lf, rule, CFG, spatial_mode=lift, problem=problem,
+                    hf_profile=hf_prof, lf_profile=lf_prof)
+                pipeline.save_model(model, work / "model")
+                yield f"{tag}/model.mfsurr", (work / "model").read_bytes()
+                yield f"{tag}/history", repr(model.lstm.history)
+                report = pipeline.evaluate(model, mus, T_FINAL, ref, timing_reps=0)
+                report.to_csv(work / "report")
+                yield f"{tag}/evaluate.csv", (work / "report").read_bytes()
+                yield f"{tag}/evaluate.summary", report.summary()
+                write_snapshots(pipeline.online_predict(model, float(mus[0]), T_FINAL),
+                                work / "pred")
+                yield f"{tag}/online_predict.mfsnap", (work / "pred").read_bytes()
+                yield f"{tag}/stencil.live", model.stencil
+                loaded = pipeline.load_model(work / "model")
+                yield f"{tag}/stencil.loaded", loaded.stencil
+                pipeline.save_model(loaded, work / "again")
+                yield f"{tag}/model.resaved", (work / "again").read_bytes()
+
+                data = pipeline.offline_prepare(hf, lf, rule, spatial_mode=lift)
+                static = train_static_baseline(data.coef_lf, data.coef_hf, CFG)
+                yield f"{tag}/static.predict", predict(static, data.coef_lf).coeffs
+                best = hyperparameter_search(SPACE, 3, data.coef_lf, data.coef_hf, CFG, seed=1)
+                yield f"{tag}/search", repr(best)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as td:
+        for name, value in artifacts(Path(td)):
+            print(f"{digest(value)}  {name}")
+
+
+if __name__ == "__main__":
+    main()

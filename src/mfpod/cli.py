@@ -54,8 +54,7 @@ _SCHEMA = {
     "pod": {"n_modes": int, "tol": float, "center": bool},
     "lift": {"spatial_mode": str},
     "train": _TRAIN_TYPES,
-    "search": {"budget": int, "mode": str,
-               "space": {key: [kind] for key, kind in _TRAIN_TYPES.items()}},
+    "search": {"budget": int, "space": {key: [kind] for key, kind in _TRAIN_TYPES.items()}},
 }
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -181,7 +180,7 @@ def _write_text(path: str, text: str, what: str) -> None:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    problem = args.problem or _require(cfg, "problem")
+    problem = _require(cfg, "problem")
     profile = _profile(cfg, args.fidelity)
     if args.role == "train":
         values = _param_grid(cfg).values
@@ -214,7 +213,7 @@ def cmd_train(args) -> int:
         lf,
         _pod_rule(cfg),
         _train_config(cfg),
-        spatial_mode=cfg.get("lift", {}).get("spatial_mode", "bilinear"),
+        **cfg.get("lift", {}),
         problem=problem,
         hf_profile=hf_profile,
         lf_profile=lf_profile,
@@ -304,7 +303,7 @@ def cmd_search(args) -> int:
         read_snapshots(args.hf),
         read_snapshots(args.lf),
         _pod_rule(cfg),
-        spatial_mode=cfg.get("lift", {}).get("spatial_mode", "bilinear"),
+        **cfg.get("lift", {}),
     )
     best_cfg, trials = hyperparameter_search(
         space,
@@ -312,7 +311,6 @@ def cmd_search(args) -> int:
         data.coef_lf,
         data.coef_hf,
         base_cfg=_train_config(cfg),
-        mode=section.get("mode", "random"),
         seed=_seed(cfg),
     )
     best = {f.name: getattr(best_cfg, f.name) for f in dataclass_fields(TrainConfig)}
@@ -355,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="run a solver sweep and write an MFSNAP file")
     gen.add_argument("--config", required=True)
-    gen.add_argument("--problem", choices=["rd", "sw"])
     gen.add_argument("--fidelity", choices=["hf", "lf"], required=True)
     gen.add_argument("--role", choices=["train", "test"], default="train")
     gen.add_argument("--out", required=True)

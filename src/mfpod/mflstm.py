@@ -150,10 +150,6 @@ class StaticModel:
     layout: FeatureLayout
     history: list = field(default_factory=list, compare=False, repr=False)
 
-    @property
-    def n_out(self) -> int:
-        return self.weights[-1][0].shape[0]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -302,16 +298,6 @@ def _mlp_forward(weights, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         acts.append(np.tanh(acts[-1] @ w.T + b))
     w, b = weights[-1]
     return acts[-1] @ w.T + b, acts
-
-
-def static_forward(model: StaticModel, x: np.ndarray) -> np.ndarray:
-    """Feed-forward pass over already-normalized rows, denormalized output."""
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != model.layout.n_features:
-        raise ShapeError(
-            f"input must be (n, {model.layout.n_features}), got {h.shape}"
-        )
-    return model.output_norm.decode(_mlp_forward(model.weights, h)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +594,8 @@ def predict(
         y, _ = _forward_stacked(model.layers, (model.w_out, model.b_out), xn.transpose(1, 0, 2))
         out = model.output_norm.decode(y).transpose(1, 0, 2)
     else:
-        out = static_forward(model, xn.reshape(-1, model.layout.n_features))
+        y, _ = _mlp_forward(model.weights, xn.reshape(-1, model.layout.n_features))
+        out = model.output_norm.decode(y)
     # (n_mu, n_t, n_out) back to parameter-major columns
     n_mu, n_t = series.n_mu, series.n_t
     coeffs = out.reshape(n_mu, n_t, -1).transpose(2, 0, 1).reshape(-1, n_mu * n_t)
@@ -624,26 +611,23 @@ def hyperparameter_search(
     budget: int,
     lf: CoefficientSeries,
     hf: CoefficientSeries,
-    base_cfg: TrainConfig | None = None,
-    mode: str = "random",
+    base_cfg: TrainConfig = TrainConfig(),
     seed: int = 0,
 ) -> tuple[TrainConfig, list[dict]]:
     """Train up to ``budget`` configs of the space, return the best by held-out loss.
 
-    ``space`` maps TrainConfig field names to candidate value lists;
-    ``mode="grid"`` enumerates the product in order, ``mode="random"`` draws
-    distinct combinations of it with a seeded generator. Either way no more
-    than the product's size is trained. Diverging trials are recorded with
-    infinite loss rather than aborting the search.
+    ``space`` maps TrainConfig field names to candidate value lists; distinct
+    combinations of it are drawn with a seeded generator, so a budget of at
+    least the product's size trains every combination once. Diverging trials
+    are recorded with infinite loss rather than aborting the search.
     """
     if not space:
         raise ValidationError("hyperparameter space must not be empty")
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
-    base = base_cfg if base_cfg is not None else TrainConfig()
     keys = sorted(space)
     for key in keys:
-        if not hasattr(base, key):
+        if not hasattr(base_cfg, key):
             raise ValidationError(f"unknown hyperparameter {key!r}")
         if not space[key]:
             raise ValidationError(f"empty candidate list for {key!r}")
@@ -651,12 +635,7 @@ def hyperparameter_search(
     # combination i of the product in itertools.product order, last key fastest
     sizes = [len(space[k]) for k in keys]
     total = math.prod(sizes)
-    if mode == "grid":
-        picks = range(min(budget, total))
-    elif mode == "random":
-        picks = np.random.default_rng(seed).choice(total, min(budget, total), replace=False)
-    else:
-        raise ValidationError(f"mode must be 'grid' or 'random', got {mode!r}")
+    picks = np.random.default_rng(seed).choice(total, min(budget, total), replace=False)
     combos = [tuple(space[k][j] for k, j in zip(keys, np.unravel_index(i, sizes)))
               for i in picks]
 
@@ -665,7 +644,7 @@ def hyperparameter_search(
     best_loss = np.inf
     for ti, combo in enumerate(combos):
         overrides = dict(zip(keys, combo))
-        cfg = replace(base, **overrides)
+        cfg = replace(base_cfg, **overrides)
         record = {"trial": ti, **overrides}
         try:
             model = train(lf, hf, cfg)
@@ -680,7 +659,7 @@ def hyperparameter_search(
         if loss < best_loss:
             best_loss = loss
             best_idx = ti
-    best_cfg = replace(base, **dict(zip(keys, combos[best_idx])))
+    best_cfg = replace(base_cfg, **dict(zip(keys, combos[best_idx])))
     return best_cfg, trials
 
 

@@ -72,15 +72,15 @@ class Provenance:
 class SurrogateModel:
     """Deployable bundle: reduced basis, lift recipe, trained network.
 
-    ``stencil`` is the ``reduced_stencil`` of the basis and the lift, built
-    when not given; it is never serialized, because it follows from both.
+    ``stencil`` is the ``reduced_stencil`` of the basis and the lift. It is
+    built here and never serialized, because it follows from both.
     """
 
     basis: PodBasis
     lift_spec: LiftSpec
     lstm: LstmModel
     provenance: Provenance
-    stencil: np.ndarray | None = field(default=None, repr=False, compare=False)
+    stencil: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lstm.layout.n_coef != self.basis.n_pod:
@@ -90,8 +90,7 @@ class SurrogateModel:
             )
         if self.lift_spec.dst_grid != self.basis.grid:
             raise ValidationError("lift destination grid does not match the basis grid")
-        if self.stencil is None:
-            self.stencil = reduced_stencil(self.basis, self.lift_spec)
+        self.stencil = reduced_stencil(self.basis, self.lift_spec)
 
 
 @dataclass
@@ -108,8 +107,6 @@ class OnlinePrediction:
 class EvalReport:
     """Eq.-style relative errors plus wall-clock comparison."""
 
-    err_mf_percent: float
-    err_lf_percent: float
     time_lf: float
     time_mf: float
     time_hf: float
@@ -117,6 +114,14 @@ class EvalReport:
     ts: np.ndarray
     col_err_mf_percent: np.ndarray
     col_err_lf_percent: np.ndarray
+
+    @property
+    def err_mf_percent(self) -> float:
+        return float(self.col_err_mf_percent.mean())
+
+    @property
+    def err_lf_percent(self) -> float:
+        return float(self.col_err_lf_percent.mean())
 
     def per_parameter(self) -> list[tuple[float, float, float]]:
         """(mu, mean err_mf%, mean err_lf%) per tested parameter."""
@@ -161,8 +166,7 @@ class EvalReport:
             raise ValidationError("no report rows found")
         arr = np.asarray(rows)
         nan = float("nan")
-        return cls(float(arr[:, 2].mean()), float(arr[:, 3].mean()), nan, nan, nan,
-                   arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+        return cls(nan, nan, nan, arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 
     def summary(self) -> str:
         lines = [
@@ -191,7 +195,6 @@ class OfflineData:
 
     basis: PodBasis
     lift_spec: LiftSpec
-    stencil: np.ndarray
     coef_hf: CoefficientSeries
     coef_lf: CoefficientSeries
 
@@ -215,9 +218,8 @@ def offline_prepare(
         dst_times=hf.times,
     )
     coef_hf = project(basis, hf)
-    stencil = reduced_stencil(basis, spec)
-    coef_lf = lift_project(lf, spec, basis, stencil=stencil)
-    return OfflineData(basis, spec, stencil, coef_hf, coef_lf)
+    coef_lf = lift_project(lf, spec, basis)
+    return OfflineData(basis, spec, coef_hf, coef_lf)
 
 
 def offline_train(
@@ -245,7 +247,7 @@ def offline_train(
         param_hi=float(hf.params[:, 0].max()),
     )
     return SurrogateModel(basis=data.basis, lift_spec=data.lift_spec, lstm=lstm,
-                          provenance=provenance, stencil=data.stencil)
+                          provenance=provenance)
 
 
 def prediction_times(model: SurrogateModel, T: float) -> np.ndarray:
@@ -373,8 +375,6 @@ def evaluate(
         time_lf, time_mf, time_hf = np.median(reps, axis=0).tolist()
 
     return EvalReport(
-        err_mf_percent=float(col_mf.mean()),
-        err_lf_percent=float(col_lf.mean()),
         time_lf=time_lf,
         time_mf=time_mf,
         time_hf=time_hf,
@@ -434,7 +434,6 @@ def _basis_from_bytes(buf) -> PodBasis:
     return PodBasis(
         modes=modes,
         sigma=sigma,
-        n_pod=n_pod,
         eps_pod=eps,
         snapshot_mean=mean,
         grid=Grid2D(n_grid, length),
@@ -518,8 +517,12 @@ def _provenance_from_bytes(buf) -> Provenance:
     lf_profile = _profile_from_reader(reader)
     t_train, lo, hi = reader.f64(3)
     reader.done()
-    if not problem or not np.all(np.isfinite([t_train, lo, hi])):
-        raise FormatError("provenance block lacks the problem or the training span")
+    if not np.all(np.isfinite([t_train, lo, hi])):
+        raise FormatError("provenance block lacks the training span")
+    try:
+        solvers._problem(problem)
+    except ValidationError as exc:
+        raise FormatError(f"provenance block names an {exc}") from exc
     return Provenance(problem=problem, hf_profile=hf_profile, lf_profile=lf_profile,
                       t_train=t_train, param_lo=lo, param_hi=hi)
 

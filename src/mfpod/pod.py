@@ -32,7 +32,9 @@ from .errors import ShapeError, ValidationError
 from .numerics import Grid2D, require_matrix, thin_svd
 from .snapshots import SnapshotSet
 
-# Column count beyond which the Gram-matrix route beats a direct thin SVD.
+# Column count up to which the thin SVD is taken; not a speed crossover, as the
+# Gram route is faster at every benchmark shape. The SVD resolves sigma down to
+# max(m, n) * eps * sigma_0, the Gram rank cut only to sqrt(max(m, n) * eps) * sigma_0.
 _GRAM_THRESHOLD = 1024
 
 
@@ -59,7 +61,6 @@ class PodBasis:
 
     modes: np.ndarray
     sigma: np.ndarray
-    n_pod: int
     eps_pod: float | None
     snapshot_mean: np.ndarray | None
     grid: Grid2D
@@ -68,6 +69,10 @@ class PodBasis:
     @property
     def n_dof(self) -> int:
         return self.modes.shape[0]
+
+    @property
+    def n_pod(self) -> int:
+        return self.modes.shape[1]
 
 
 @dataclass
@@ -85,6 +90,8 @@ class CoefficientSeries:
         if params.ndim == 1:
             params = params[:, None]
         self.params = params
+        if self.coeffs.ndim != 2:
+            raise ShapeError(f"coefficients must be 2-D, got ndim={self.coeffs.ndim}")
         if self.coeffs.shape[1] != self.n_mu * self.n_t:
             raise ShapeError(
                 f"coefficient matrix has {self.coeffs.shape[1]} columns, expected "
@@ -174,7 +181,6 @@ def build_basis(snaps: SnapshotSet, rule: PodRule) -> PodBasis:
     return PodBasis(
         modes=np.asfortranarray(modes),
         sigma=sigma,
-        n_pod=n_pod,
         eps_pod=rule.tol,
         snapshot_mean=mean,
         grid=snaps.grid,

@@ -13,7 +13,7 @@ dt_lf = 0.1 / dt_hf = 0.025, preserving the 4x step ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class BenchmarkBundle:
     t_final: float
     pod_rule: PodRule
     spatial_mode: str
-    train_cfg: TrainConfig = field(default_factory=TrainConfig)
+    train_cfg: TrainConfig
 
 
 def rd_desk(seed: int = 0) -> BenchmarkBundle:

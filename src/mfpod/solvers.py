@@ -37,14 +37,16 @@ from .snapshots import FIDELITIES, ParameterGrid, SnapshotSet
 
 
 class _RunChecks:
-    """Checks every run config makes on its grid size, step, span and diffusion."""
+    """Checks every run config makes on its grid size, step, span, parameter and diffusion."""
 
     def __post_init__(self):
         Grid2D(self.n, self.L)
         if not (self.dt > 0):
             raise ValidationError(f"time step must be positive, got dt={self.dt}")
-        if self.T < 0:
-            raise ValidationError(f"final time must be nonnegative, got T={self.T}")
+        if not (0 <= self.T < np.inf):
+            raise ValidationError(f"final time must be finite and nonnegative, got T={self.T}")
+        if not np.isfinite(self.mu):
+            raise ValidationError(f"parameter mu must be finite, got mu={self.mu}")
         if not (self.d > 0):
             raise ValidationError(f"diffusion coefficient must be positive, got {self.d}")
 
@@ -99,8 +101,8 @@ class FidelityProfile:
 
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Snapshot times of a run over [0, T] at step ``dt``: round(T/dt) + 1 of them."""
-    if T < 0:
-        raise ValidationError(f"final time must be nonnegative, got T={T}")
+    if not (0 <= T < np.inf):
+        raise ValidationError(f"final time must be finite and nonnegative, got T={T}")
     return dt * np.arange(int(round(T / dt)) + 1)
 
 

@@ -108,15 +108,26 @@ def test_generate_rejects_unknown_config_key(tmp_path):
     {"t_final": float("nan")},
     {"train": {"beta1": 0.9}},
     {"search": {"space": {"adam_eps": [1e-8]}}},
+    {"search": {"mode": "grid", "space": {"hidden": [8]}}},
 ], ids=["hf.n-str", "hf.n-bool", "params.lo-str", "params-no-count", "test_params-str",
         "test_params-count-0", "train.hidden-str", "pod.n_modes-str", "search.space-scalar",
-        "paths", "t_final-nan", "train.beta1", "search.space.adam_eps"])
+        "paths", "t_final-nan", "train.beta1", "search.space.adam_eps", "search.mode"])
 def test_generate_rejects_malformed_config_value(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     code = main(["generate", "--config", str(cfg), "--fidelity", "hf", "--role", "test",
                  "--out", str(tmp_path / "x.mfsnap")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.mfsnap").exists()
+
+
+def test_generate_problem_flag_exits_2(workspace, tmp_path, capsys):
+    # the config's required "problem" key is the one place the problem is set
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--config", str(workspace / "cfg.json"), "--problem", "sw",
+              "--fidelity", "hf", "--out", str(tmp_path / "x.mfsnap")])
+    assert exc.value.code == 2
+    assert "--problem" in capsys.readouterr().err
     assert not (tmp_path / "x.mfsnap").exists()
 
 
@@ -289,6 +300,17 @@ def test_predict_reference_on_other_grid_exits_4(workspace, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:mu = nan lies outside the training range")
+@pytest.mark.parametrize("mu, T", [("0.75", "nan"), ("0.75", "inf"), ("nan", "1")])
+def test_predict_non_finite_input_exits_2(workspace, tmp_path, capsys, mu, T):
+    out = tmp_path / "p.mfsnap"
+    code = main(["predict", "--model", str(workspace / "model.mfsurr"),
+                 "--mu", mu, "--T", T, "--out", str(out)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_unknown_model_exits_2(tmp_path):
     code = main(["predict", "--model", str(tmp_path / "ghost.mfsurr"),
                  "--mu", "1.0", "--T", "1", "--out", str(tmp_path / "x.mfsnap")])
@@ -406,7 +428,7 @@ def test_unwritable_text_output_exits_2(workspace, tmp_path, capsys, command):
     snaps = ["--hf", str(workspace / "hf.mfsnap"), "--lf", str(workspace / "lf.mfsnap")]
     search_cfg = str(write_config(
         tmp_path / "search.json",
-        search={"budget": 1, "mode": "random", "space": {"hidden": [8]}},
+        search={"budget": 1, "space": {"hidden": [8]}},
     ))
     argv = {
         "report": ["report", str(report), "--out", missing],
@@ -434,8 +456,7 @@ def test_unwritable_text_output_exits_2(workspace, tmp_path, capsys, command):
 def test_search_writes_best_and_log(workspace, tmp_path):
     cfg = write_config(
         tmp_path / "search.json",
-        search={"budget": 2, "mode": "random",
-                "space": {"hidden": [8, 12], "learning_rate": [0.001, 0.003]}},
+        search={"budget": 2, "space": {"hidden": [8, 12], "learning_rate": [0.001, 0.003]}},
     )
     best = tmp_path / "best.json"
     log = tmp_path / "trials.csv"
@@ -452,7 +473,7 @@ def test_search_writes_best_and_log(workspace, tmp_path):
 def test_search_empty_space_exits_2(workspace, tmp_path):
     cfg = write_config(
         tmp_path / "search.json",
-        search={"budget": 2, "mode": "random", "space": {}},
+        search={"budget": 2, "space": {}},
     )
     code = main(["search", "--config", str(cfg),
                  "--hf", str(workspace / "hf.mfsnap"),

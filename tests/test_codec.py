@@ -43,7 +43,6 @@ def pinned_model(n_layers: int = 1) -> SurrogateModel:
     basis = PodBasis(
         modes=np.asfortranarray(ramp((16, 2), 1)),
         sigma=np.array([4.0, 2.0, 1.0]),
-        n_pod=2,
         eps_pod=1e-3,
         snapshot_mean=ramp(16, 2),
         grid=grid,
@@ -216,13 +215,22 @@ def test_provenance_without_profile_is_format_error(tmp_path, profile):
         load_model(path)
 
 
-@pytest.mark.parametrize("field", ["snapshot fidelity", "lift mode", "hf profile fidelity"])
+@pytest.mark.parametrize("field", ["snapshot fidelity", "lift mode", "hf profile fidelity",
+                                   "problem"])
 def test_unknown_code_is_format_error(tmp_path, field):
     # every block maps its codes through the same table its writer uses
+    match = "unknown .* code 7"
     if field == "snapshot fidelity":
         blob = bytearray(GOOD["snap"])
         struct.pack_into("<I", blob, 32, 7)
         reader = read_snapshots
+    elif field == "problem":
+        # the name "rd" after the provenance magic and its u32 length, checked
+        # against the solvers' problem table
+        blob = bytearray(GOOD["surr"])
+        at = block_offsets(GOOD["surr"])[3] + 8 + 4
+        blob[at : at + 2] = b"xx"
+        reader, match = load_model, "unknown problem 'xx'"
     else:
         index = 1 if field == "lift mode" else 3
         begin = block_offsets(GOOD["surr"])[index]
@@ -234,7 +242,7 @@ def test_unknown_code_is_format_error(tmp_path, field):
         reader = load_model
     path = tmp_path / "forged"
     path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match="unknown .* code 7"):
+    with pytest.raises(FormatError, match=match):
         reader(path)
 
 

@@ -13,13 +13,12 @@ from mfpod.mflstm import (
     LstmLayerWeights,
     LstmModel,
     Normalizer,
-    StaticModel,
     TrainConfig,
+    _mlp_forward,
     hyperparameter_search,
     lstm_from_bytes,
     lstm_to_bytes,
     predict,
-    static_forward,
     train,
     train_static_baseline,
 )
@@ -143,14 +142,9 @@ def test_recurrence_is_order_sensitive_but_static_is_not():
     out = forward(model, seq)
     out_perm = forward(model, permuted)
     assert np.abs(out[-1] - out_perm[-1]).max() > 1e-6
-    static = StaticModel(
-        weights=[(rng.standard_normal((2, 4)), rng.standard_normal(2))],
-        input_norm=identity_normalizer(4),
-        output_norm=identity_normalizer(2),
-        layout=FeatureLayout(with_time=False, n_params=1, n_coef=3),
-    )
-    s_out = static_forward(static, seq)
-    s_perm = static_forward(static, permuted)
+    weights = [(rng.standard_normal((2, 4)), rng.standard_normal(2))]
+    s_out, _ = _mlp_forward(weights, seq)
+    s_perm, _ = _mlp_forward(weights, permuted)
     assert_allclose(s_perm, s_out[::-1], atol=0)
 
 
@@ -449,7 +443,7 @@ def test_search_prefers_converging_config():
     lf, hf = series_pair(n_mu=2, n_t=48, n_coef=2, seed=35)
     base = TrainConfig(hidden=12, k_window=12, n_batch=8, epochs=60, seed=0)
     space = {"learning_rate": [3e-3, 10.0]}
-    best, trials = hyperparameter_search(space, 4, lf, hf, base, mode="grid", seed=1)
+    best, trials = hyperparameter_search(space, 4, lf, hf, base, seed=1)
     assert best.learning_rate == 3e-3
     losses = {t["learning_rate"]: t["val_loss"] for t in trials}
     assert losses[3e-3] < losses[10.0]
@@ -459,8 +453,8 @@ def test_search_same_seed_same_selection():
     lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2, seed=36)
     base = TrainConfig(hidden=8, k_window=8, epochs=5, seed=0)
     space = {"hidden": [4, 8, 12], "learning_rate": [1e-3, 3e-3]}
-    first = hyperparameter_search(space, 3, lf, hf, base, mode="random", seed=9)
-    second = hyperparameter_search(space, 3, lf, hf, base, mode="random", seed=9)
+    first = hyperparameter_search(space, 3, lf, hf, base, seed=9)
+    second = hyperparameter_search(space, 3, lf, hf, base, seed=9)
     assert first[0] == second[0]
     assert first[1] == second[1]
 
@@ -469,7 +463,7 @@ def test_random_search_trains_each_combination_once():
     lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2, seed=37)
     base = TrainConfig(hidden=8, k_window=8, epochs=2, seed=0)
     space = {"hidden": [4, 8], "learning_rate": [1e-3, 3e-3]}
-    _, trials = hyperparameter_search(space, 8, lf, hf, base, mode="random", seed=0)
+    _, trials = hyperparameter_search(space, 8, lf, hf, base, seed=0)
     combos = {(t["hidden"], t["learning_rate"]) for t in trials}
     assert len(trials) == 4 and len(combos) == 4
 

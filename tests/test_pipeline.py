@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,11 +144,12 @@ def test_online_predict_extends_past_training_horizon(tiny_model):
 
 
 def test_online_coefficients_match_fresh_stencil(tiny_model, tmp_path):
-    # the model's own stencil, kept from offline_train or rebuilt on load,
-    # gives the coefficients that building the stencil per call gives
+    # the model's own stencil, built with the trained, the loaded or a
+    # re-based model, gives the coefficients that building it per call gives
     path = tmp_path / "model.mfsurr"
     save_model(tiny_model, path)
-    for model in (tiny_model, load_model(path)):
+    flipped = replace(tiny_model.basis, modes=-tiny_model.basis.modes)
+    for model in (tiny_model, load_model(path), replace(tiny_model, basis=flipped)):
         detail = online_predict_detailed(model, 0.8, 6.0)  # LF dt is twice HF dt
         spec = LiftSpec(model.lift_spec.spatial_mode, model.lift_spec.src_grid,
                         model.lift_spec.dst_grid, detail.prediction.times)
@@ -256,6 +258,9 @@ def test_report_csv_and_per_parameter(tiny_sets, tiny_model, tmp_path):
     # grouped means agree with manual grouping
     first_block = report.col_err_mf_percent[: hf.n_t]
     assert per_mu[0][1] == pytest.approx(first_block.mean())
+    # the overall means follow the columns
+    first_only = replace(report, col_err_mf_percent=first_block, col_err_lf_percent=first_block)
+    assert first_only.err_mf_percent == first_only.err_lf_percent == float(first_block.mean())
 
 
 # ---------------------------------------------------------------------------

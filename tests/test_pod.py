@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,7 @@ def test_fixed_rule_keeps_requested_count():
     assert basis.modes.shape == (40, 5)
     assert basis.eps_pod is None
     assert basis.sigma.size == 12
+    assert replace(basis, modes=basis.modes[:, :2]).n_pod == 2
 
 
 @pytest.mark.parametrize("shape", [(30, 10), (2048, 1100)], ids=["svd", "gram"])
@@ -139,6 +142,11 @@ def test_reconstruct_rejects_coefficient_mismatch():
             basis,
             CoefficientSeries(np.zeros((3, 1)), np.array([0.0]), np.array([[1.0]])),
         )
+
+
+def test_coefficients_must_be_a_matrix():
+    with pytest.raises(ShapeError):
+        CoefficientSeries(np.zeros(5), np.arange(5.0), np.array([[1.0]]))
 
 
 def test_project_reconstruct_identity_on_coefficient_space():
