@@ -32,7 +32,7 @@ from .mflstm import (
     train,
     train_static_baseline,
 )
-from .numerics import Grid2D, interp_time, thin_svd
+from .numerics import Grid2D, thin_svd
 from .pipeline import (
     EvalReport,
     Provenance,
@@ -57,11 +57,8 @@ from .solvers import (
     RdConfig,
     SwConfig,
     generate_dataset,
-    rd_initial,
-    solve_poisson,
     solve_rd,
     solve_sw,
-    sw_initial,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -36,8 +37,15 @@ from .pod import PodRule, project
 from .snapshots import ParameterGrid, read_snapshots, write_snapshots
 from .solvers import FidelityProfile, generate_dataset
 
-# every TrainConfig field takes the type of its default
-_TRAIN_TYPES = {f.name: type(f.default) for f in dataclass_fields(TrainConfig)}
+
+def _declared(cls, *fixed: str) -> dict:
+    """Each field of ``cls`` but ``fixed`` with its declared type; ``T | None`` declares ``T``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+            for f in dataclass_fields(cls) if f.name not in fixed}
+
+
+_TRAIN_TYPES = _declared(TrainConfig)
 
 # a type is a scalar of that type, a dict an object of those keys, a
 # one-element list a nonempty list of that form, and a tuple (test_params
@@ -45,13 +53,13 @@ _TRAIN_TYPES = {f.name: type(f.default) for f in dataclass_fields(TrainConfig)}
 _SCHEMA = {
     "problem": str,
     "seed": int,
-    "hf": {"n": int, "dt": float, "d": float},
-    "lf": {"n": int, "dt": float, "d": float},
-    "params": {"lo": float, "hi": float, "count": int},
+    "hf": _declared(FidelityProfile, "fidelity"),
+    "lf": _declared(FidelityProfile, "fidelity"),
+    "params": _declared(ParameterGrid),
     "test_params": ([float], {"count": int}),
     "t_train": float,
     "t_final": float,
-    "pod": {"n_modes": int, "tol": float, "center": bool},
+    "pod": _declared(PodRule),
     "lift": {"spatial_mode": str},
     "train": _TRAIN_TYPES,
     "search": {"budget": int, "space": {key: [kind] for key, kind in _TRAIN_TYPES.items()}},
@@ -118,14 +126,20 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str, cls, **fixed):
+    """``cls`` from config section ``key``, values cast to their declared types.
+
+    A field the section leaves out keeps its default, and one without a default is required.
+    """
+    section = _require(cfg, key)
+    for f in dataclass_fields(cls):
+        if f.name not in fixed and (f.name in section or f.default is dataclasses.MISSING):
+            fixed[f.name] = _SCHEMA[key][f.name](_require(section, f.name))
+    return cls(**fixed)
+
+
 def _profile(cfg: dict, which: str) -> FidelityProfile:
-    section = _require(cfg, which)
-    return FidelityProfile(
-        fidelity=which.upper(),
-        n=int(_require(section, "n")),
-        dt=float(_require(section, "dt")),
-        d=float(section["d"]) if "d" in section else None,
-    )
+    return _section(cfg, which, FidelityProfile, fidelity=which.upper())
 
 
 def _seed(cfg: dict) -> int:
@@ -145,28 +159,13 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(**section)
 
 
-def _pod_rule(cfg: dict) -> PodRule:
-    section = _require(cfg, "pod")
-    return PodRule(
-        n_modes=section.get("n_modes"),
-        tol=section.get("tol"),
-        center=bool(section.get("center", False)),
-    )
-
-
 def _test_values(cfg: dict) -> np.ndarray:
     tp = cfg.get("test_params")
     if tp is None:
         raise ValidationError("config is missing 'test_params' for the test role")
     if isinstance(tp, list):
         return np.asarray(tp, dtype=np.float64)
-    return _param_grid(cfg).midpoints(_require(tp, "count"))
-
-
-def _param_grid(cfg: dict) -> ParameterGrid:
-    section = _require(cfg, "params")
-    return ParameterGrid(float(_require(section, "lo")), float(_require(section, "hi")),
-                         _require(section, "count"))
+    return _section(cfg, "params", ParameterGrid).midpoints(_require(tp, "count"))
 
 
 def _check_out(path: str, no_overwrite: bool) -> None:
@@ -183,7 +182,7 @@ def cmd_generate(args) -> int:
     problem = _require(cfg, "problem")
     profile = _profile(cfg, args.fidelity)
     if args.role == "train":
-        values = _param_grid(cfg).values
+        values = _section(cfg, "params", ParameterGrid).values
         t_end = float(_require(cfg, "t_train"))
     else:
         values = _test_values(cfg)
@@ -211,7 +210,7 @@ def cmd_train(args) -> int:
     model = pipeline.offline_train(
         hf,
         lf,
-        _pod_rule(cfg),
+        _section(cfg, "pod", PodRule),
         _train_config(cfg),
         **cfg.get("lift", {}),
         problem=problem,
@@ -302,7 +301,7 @@ def cmd_search(args) -> int:
     data = pipeline.offline_prepare(
         read_snapshots(args.hf),
         read_snapshots(args.lf),
-        _pod_rule(cfg),
+        _section(cfg, "pod", PodRule),
         **cfg.get("lift", {}),
     )
     best_cfg, trials = hyperparameter_search(
@@ -313,8 +312,8 @@ def cmd_search(args) -> int:
         base_cfg=_train_config(cfg),
         seed=_seed(cfg),
     )
-    best = {f.name: getattr(best_cfg, f.name) for f in dataclass_fields(TrainConfig)}
-    _write_text(args.out, json.dumps({"train": best}, indent=2) + "\n", "best config")
+    _write_text(args.out, json.dumps({"train": dataclasses.asdict(best_cfg)}, indent=2) + "\n",
+                "best config")
     if args.log:
         keys = sorted({k for t in trials for k in t})
         lines = [",".join(keys)]
@@ -327,17 +326,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = pipeline.EvalReport.from_csv(args.reports)
-    lines_out = [
-        "aggregated evaluation report",
-        f"  columns: {report.mus.size}",
-        f"  overall relative error  surrogate: {report.err_mf_percent:.2f}%   "
-        f"lifted LF: {report.err_lf_percent:.2f}%",
-        "  per-parameter means:",
-    ]
-    for mu, emf, elf in report.per_parameter():
-        lines_out.append(f"    mu = {mu:g}: surrogate {emf:.2f}%   lifted LF {elf:.2f}%")
-    text = "\n".join(lines_out)
+    text = pipeline.EvalReport.from_csv(args.reports).summary()
     if args.out:
         _write_text(args.out, text + "\n", "report")
     print(text)

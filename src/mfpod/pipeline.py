@@ -67,6 +67,11 @@ class Provenance:
     param_lo: float
     param_hi: float
 
+    def __post_init__(self):
+        solvers._problem(self.problem)  # the model re-runs this problem's LF solver online
+        if not np.all(np.isfinite([self.t_train, self.param_lo, self.param_hi])):
+            raise ValidationError("provenance lacks a finite training span")
+
 
 @dataclass
 class SurrogateModel:
@@ -235,9 +240,6 @@ def offline_train(
     val_every: int = 1,
 ) -> SurrogateModel:
     """Run the four offline stages and assemble the deployable surrogate."""
-    solvers._problem(problem)  # the model re-runs this problem's LF solver online
-    data = offline_prepare(hf, lf, pod_rule, spatial_mode)
-    lstm = train(data.coef_lf, data.coef_hf, train_cfg, val_every=val_every)
     provenance = Provenance(
         problem=problem,
         hf_profile=hf_profile,
@@ -246,6 +248,8 @@ def offline_train(
         param_lo=float(hf.params[:, 0].min()),
         param_hi=float(hf.params[:, 0].max()),
     )
+    data = offline_prepare(hf, lf, pod_rule, spatial_mode)
+    lstm = train(data.coef_lf, data.coef_hf, train_cfg, val_every=val_every)
     return SurrogateModel(basis=data.basis, lift_spec=data.lift_spec, lstm=lstm,
                           provenance=provenance)
 
@@ -517,12 +521,6 @@ def _provenance_from_bytes(buf) -> Provenance:
     lf_profile = _profile_from_reader(reader)
     t_train, lo, hi = reader.f64(3)
     reader.done()
-    if not np.all(np.isfinite([t_train, lo, hi])):
-        raise FormatError("provenance block lacks the training span")
-    try:
-        solvers._problem(problem)
-    except ValidationError as exc:
-        raise FormatError(f"provenance block names an {exc}") from exc
     return Provenance(problem=problem, hf_profile=hf_profile, lf_profile=lf_profile,
                       t_train=t_train, param_lo=lo, param_hi=hi)
 
@@ -552,9 +550,12 @@ def load_model(path: str | Path) -> SurrogateModel:
         raise FormatError("bad surrogate file magic")
     blocks = [reader.take(reader.u64()) for _ in range(4)]
     reader.done()
-    return SurrogateModel(
-        basis=_basis_from_bytes(blocks[0]),
-        lift_spec=_lift_from_bytes(blocks[1]),
-        lstm=lstm_from_bytes(blocks[2]),
-        provenance=_provenance_from_bytes(blocks[3]),
-    )
+    try:
+        return SurrogateModel(
+            basis=_basis_from_bytes(blocks[0]),
+            lift_spec=_lift_from_bytes(blocks[1]),
+            lstm=lstm_from_bytes(blocks[2]),
+            provenance=_provenance_from_bytes(blocks[3]),
+        )
+    except ValidationError as exc:  # a value its type rejects is a forged file
+        raise FormatError(f"model {path}: {exc}") from exc

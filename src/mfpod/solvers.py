@@ -36,19 +36,24 @@ from .numerics import Grid2D
 from .snapshots import FIDELITIES, ParameterGrid, SnapshotSet
 
 
+def _check_step(n: int, dt: float, d: float | None) -> None:
+    """Rules a run config and a fidelity profile share: grid size, step and a given diffusion."""
+    Grid2D(n, 1.0)  # the grid-size rule; the half-length does not enter it
+    if not (0 < dt < np.inf):
+        raise ValidationError(f"time step must be positive and finite, got dt={dt}")
+    if d is not None and not (0 < d < np.inf):
+        raise ValidationError(f"diffusion coefficient must be positive and finite, got d={d}")
+
+
 class _RunChecks:
     """Checks every run config makes on its grid size, step, span, parameter and diffusion."""
 
     def __post_init__(self):
-        Grid2D(self.n, self.L)
-        if not (self.dt > 0):
-            raise ValidationError(f"time step must be positive, got dt={self.dt}")
+        _check_step(self.n, self.dt, self.d)
         if not (0 <= self.T < np.inf):
             raise ValidationError(f"final time must be finite and nonnegative, got T={self.T}")
         if not np.isfinite(self.mu):
             raise ValidationError(f"parameter mu must be finite, got mu={self.mu}")
-        if not (self.d > 0):
-            raise ValidationError(f"diffusion coefficient must be positive, got {self.d}")
 
 
 @dataclass
@@ -93,10 +98,7 @@ class FidelityProfile:
     def __post_init__(self):
         if self.fidelity not in FIDELITIES:
             raise ValidationError(f"fidelity must be 'HF' or 'LF', got {self.fidelity!r}")
-        if self.n < 4 or self.n % 2:
-            raise ValidationError(f"profile grid size must be even and >= 4, got {self.n}")
-        if not (self.dt > 0):
-            raise ValidationError(f"profile time step must be positive, got {self.dt}")
+        _check_step(self.n, self.dt, self.d)
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:

@@ -109,9 +109,11 @@ def test_generate_rejects_unknown_config_key(tmp_path):
     {"train": {"beta1": 0.9}},
     {"search": {"space": {"adam_eps": [1e-8]}}},
     {"search": {"mode": "grid", "space": {"hidden": [8]}}},
+    {"hf": {"fidelity": "LF"}},
 ], ids=["hf.n-str", "hf.n-bool", "params.lo-str", "params-no-count", "test_params-str",
         "test_params-count-0", "train.hidden-str", "pod.n_modes-str", "search.space-scalar",
-        "paths", "t_final-nan", "train.beta1", "search.space.adam_eps", "search.mode"])
+        "paths", "t_final-nan", "train.beta1", "search.space.adam_eps", "search.mode",
+        "hf.fidelity"])
 def test_generate_rejects_malformed_config_value(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     code = main(["generate", "--config", str(cfg), "--fidelity", "hf", "--role", "test",
@@ -220,6 +222,17 @@ def test_train_unknown_problem_exits_2(workspace, tmp_path, capsys):
                  "--lf", str(workspace / "lf.mfsnap"), "--out", str(tmp_path / "m.mfsurr")])
     assert code == 2
     assert "unknown problem 'xx'" in capsys.readouterr().err
+    assert not (tmp_path / "m.mfsurr").exists()
+
+
+@pytest.mark.parametrize("d", [0.0, -0.1])
+def test_train_bad_lf_diffusion_exits_2(workspace, tmp_path, capsys, d):
+    # predict would refuse to re-run this LF profile, so train refuses to record it
+    cfg = write_config(tmp_path / "cfg.json", lf={"n": 8, "dt": 0.1, "d": d})
+    code = main(["train", "--config", str(cfg), "--hf", str(workspace / "hf.mfsnap"),
+                 "--lf", str(workspace / "lf.mfsnap"), "--out", str(tmp_path / "m.mfsurr")])
+    assert code == 2
+    assert "diffusion coefficient must be positive" in capsys.readouterr().err
     assert not (tmp_path / "m.mfsurr").exists()
 
 
@@ -385,7 +398,7 @@ def test_report_aggregates(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(out), "--out", str(tmp_path / "agg.txt")]) == 0
     text = capsys.readouterr().out
-    assert "overall relative error" in text
+    assert "relative error  lifted LF input" in text
     assert (tmp_path / "agg.txt").read_text().strip() == text.strip()
 
 

@@ -187,15 +187,19 @@ def test_forged_mfsnap_is_format_error(tmp_path, defect):
         read_snapshots(path)
 
 
-@pytest.mark.parametrize("defect", ["trailing bytes", "rows"])
+@pytest.mark.parametrize("defect", ["trailing bytes", "rows", "odd n"])
 def test_malformed_basis_block_is_format_error(tmp_path, defect):
     begin = block_offsets(GOOD["surr"])[0]
     (size,) = struct.unpack_from("<Q", GOOD["surr"], begin - 8)
     block = bytearray(GOOD["surr"][begin : begin + size])
     if defect == "trailing bytes":
         block += b"\0" * 8
-    else:
+    elif defect == "rows":
         struct.pack_into("<I", block, 8 + 12, 6)  # n_grid 4 -> 6: rows != 1 * 6^2
+    else:
+        # n_grid 4 -> 1 with 16 fields keeps the 16 rows; Grid2D rejects the odd size
+        struct.pack_into("<2I", block, 8 + 12, 1, 16)
+        block += (struct.pack("<I", 1) + b"u") * 15
     path = tmp_path / "model.mfsurr"
     path.write_bytes(with_block(GOOD["surr"], 0, bytes(block)))
     with pytest.raises(FormatError):
@@ -212,6 +216,23 @@ def test_provenance_without_profile_is_format_error(tmp_path, profile):
     path = tmp_path / "model.mfsurr"
     path.write_bytes(with_block(GOOD["surr"], 3, absent))
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field, code, value", [("n", "<I", 3), ("dt", "<d", 0.0),
+                                                ("d", "<d", -1.0)])
+def test_rejected_profile_value_is_format_error(tmp_path, field, code, value):
+    # FidelityProfile rejects the value; in a model file that is a forged block
+    begin = block_offsets(GOOD["surr"])[3]
+    (size,) = struct.unpack_from("<Q", GOOD["surr"], begin - 8)
+    block = bytearray(GOOD["surr"][begin : begin + size])
+    # the LF profile follows the magic, the problem "rd" and the 28-byte HF profile;
+    # n follows its flag and fidelity code, dt follows n, and d follows dt
+    at = 8 + 6 + 28 + {"n": 8, "dt": 12, "d": 20}[field]
+    struct.pack_into(code, block, at, value)
+    path = tmp_path / "model.mfsurr"
+    path.write_bytes(with_block(GOOD["surr"], 3, bytes(block)))
+    with pytest.raises(FormatError, match=f"{field}="):
         load_model(path)
 
 

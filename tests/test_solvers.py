@@ -119,6 +119,14 @@ def test_run_config_validation(config, key, value):
         config(**{"n": 16, "T": 1.0, "mu": 1.0, key: value})
 
 
+@pytest.mark.parametrize("key, value", [("n", 15), ("dt", 0.0), ("dt", math.inf), ("d", 0.0),
+                                        ("d", -0.1), ("d", math.inf)])
+def test_profile_validation(key, value):
+    # the same grid-size, step and diffusion rules as the run configs it becomes
+    with pytest.raises(ValidationError):
+        FidelityProfile(**{"fidelity": "LF", "n": 16, "dt": 0.1, key: value})
+
+
 # ---------------------------------------------------------------------------
 # shallow-water solver
 # ---------------------------------------------------------------------------
