@@ -189,14 +189,19 @@ def read_snapshots(path: str | Path) -> SnapshotSet:
             payload = Reader(fh.read(payload_size), "MFSNAP payload").take(payload_size)
     except OSError as exc:
         raise StorageError(f"cannot read snapshots from {path}: {exc}") from exc
-    return SnapshotSet(
-        fidelity=fidelity,
-        data=np.frombuffer(payload, dtype="<f8").reshape((n_dof, n_mu * n_t), order="F"),
-        grid=Grid2D(n_grid, length),
-        times=times,
-        params=params,
-        field_names=names,
-    )
+    try:
+        return SnapshotSet(
+            fidelity=fidelity,
+            data=np.frombuffer(payload, dtype="<f8").reshape((n_dof, n_mu * n_t), order="F"),
+            grid=Grid2D(n_grid, length),
+            times=times,
+            params=params,
+            field_names=names,
+        )
+    except DataError:  # non-finite values are bad data, not a forged layout
+        raise
+    except ValidationError as exc:  # a value its type rejects is a forged file
+        raise FormatError(f"snapshots {path}: {exc}") from exc
 
 
 def ingest_external(

@@ -12,14 +12,17 @@ Two benchmark problems on periodic square domains:
   on [-10, 10]^2 with a stretched-Gaussian initial vorticity.
 
 Both solvers hold the state as one stacked real-to-complex half spectrum of
-shape (n_fields, n, n//2 + 1) (``rfft2`` over the two grid axes), apply
+shape (n_mu, n_fields, n, n//2 + 1) (``rfft2`` over the two grid axes), apply
 diffusion exactly by wavenumber multiplication, evaluate nonlinear terms
 pseudo-spectrally in physical space, and advance with classical fixed-step
 RK4 through one shared loop, which also stores every step and stops a
-diverging run. First derivatives multiply by i*k with the Nyquist wavenumber
-set to 0: the Nyquist mode of a real field has no real odd derivative, and
-this is what taking the real part of a full complex transform gives. No
-dealiasing filter is applied. Snapshots are stored at every step, so a run
+diverging run. The leading axis carries the parameter values of a sweep, so
+all of them advance in one RK4 loop; each trajectory is bit-identical to a
+run of its parameter alone, and a single run is the n_mu = 1 case. First
+derivatives multiply by i*k with the Nyquist wavenumber set to 0: the
+Nyquist mode of a real field has no real odd derivative, and this is what
+taking the real part of a full complex transform gives. No dealiasing
+filter is applied. Snapshots are stored at every step, so a run
 over [0, T] yields round(T/dt) + 1 columns. Trajectories are deterministic:
 identical configs give bit-identical output.
 """
@@ -156,38 +159,43 @@ def solve_poisson(omega: np.ndarray, grid: Grid2D) -> np.ndarray:
     return np.fft.irfft2(-np.fft.rfft2(omega) * inv_k2, s=(grid.n, grid.n))
 
 
-def _integrate(state_hat: np.ndarray, rhs, times: np.ndarray, dt: float) -> np.ndarray:
-    """Classical RK4 on a stacked half-spectrum state; one column per step.
+def _integrate(
+    state_hat: np.ndarray, rhs, times: np.ndarray, dt: float, mus: np.ndarray
+) -> np.ndarray:
+    """Classical RK4 on a stacked half-spectrum state; one column per step and mu.
 
-    ``state_hat`` has shape (n_fields, n, n//2+1). ``rhs(hat)`` returns
-    d(hat)/dt and the physical fields of ``hat``, so the k1 stage of a step
-    also yields the snapshot of the state it starts from. Column j stacks
-    the flattened fields at ``times[j]``.
+    ``state_hat`` has shape (n_mu, n_fields, n, n//2+1), one run per entry
+    of ``mus``. ``rhs(hat)`` returns d(hat)/dt and the physical fields of
+    ``hat``, so the k1 stage of a step also yields the snapshot of the state
+    it starts from. Column i*n_t + j stacks the flattened fields of run i at
+    ``times[j]``, the parameter-major order of a ``SnapshotSet``.
     """
-    n_fields, n = state_hat.shape[:2]
-    data = np.empty((n_fields * n * n, times.size), dtype=np.float64, order="F")
-    # column-major view: data[ix + n*iy + n*n*f, j] is columns[ix, iy, f, j]
-    columns = data.reshape((n, n, n_fields, times.size), order="F")
+    n_mu, n_fields, n = state_hat.shape[:3]
+    data = np.empty((n_fields * n * n, n_mu * times.size), dtype=np.float64, order="F")
+    # column-major view: data[ix + n*iy + n*n*f, i*n_t + j] is columns[ix, iy, f, j, i]
+    columns = data.reshape((n, n, n_fields, times.size, n_mu), order="F")
     # overflow in a diverging run is reported as InstabilityError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         k1, fields = rhs(state_hat)
-        columns[..., 0] = np.moveaxis(fields, 0, -1)
+        columns[..., 0, :] = fields.transpose(2, 3, 1, 0)
         for step in range(1, times.size):
             k2, _ = rhs(state_hat + 0.5 * dt * k1)
             k3, _ = rhs(state_hat + 0.5 * dt * k2)
             k4, _ = rhs(state_hat + dt * k3)
             state_hat = state_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_finite(state_hat, step, times[step])
+            _check_finite(state_hat, step, times[step], mus)
             k1, fields = rhs(state_hat)
-            columns[..., step] = np.moveaxis(fields, 0, -1)
+            columns[..., step, :] = fields.transpose(2, 3, 1, 0)
     return data
 
 
-def _check_finite(state_hat: np.ndarray, step: int, t: float) -> None:
-    if not np.all(np.isfinite(state_hat)):
+def _check_finite(state_hat: np.ndarray, step: int, t: float, mus: np.ndarray) -> None:
+    """Name the first run, in input order, whose state is no longer finite."""
+    finite = np.isfinite(state_hat).reshape(len(mus), -1).all(axis=1)
+    if not finite.all():
         raise InstabilityError(
-            f"solver produced non-finite values at step {step} (t = {t:g}); "
-            f"reduce dt or resolution demands"
+            f"mu = {mus[np.argmin(finite)]:g}: solver produced non-finite values at "
+            f"step {step} (t = {t:g}); reduce dt or resolution demands"
         )
 
 
@@ -195,43 +203,56 @@ def solve_rd(
     cfg: RdConfig,
     ic: tuple[np.ndarray, np.ndarray] | None = None,
     include_reaction: bool = True,
+    *,
+    mus: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the reaction-diffusion system; snapshots at every step.
 
     Returns (times, data) with data (2*n^2, n_steps+1): each column stacks
-    the flattened u field over the flattened v field. ``ic`` and
-    ``include_reaction`` are test hooks (defaults reproduce the benchmark).
+    the flattened u field over the flattened v field. ``mus`` runs these
+    parameter values in place of ``cfg.mu``, side by side, into consecutive
+    column blocks. ``ic`` and ``include_reaction`` are test hooks (defaults
+    reproduce the benchmark).
     """
+    mus = np.array([cfg.mu] if mus is None else mus, dtype=np.float64)
     grid = Grid2D(cfg.n, cfg.L)
     k2, _ = _laplacian_symbols(grid)
     diffusion = cfg.d * k2
+    rotation_rate = mus[:, None, None]
     n = cfg.n
 
     u0, v0 = rd_initial(grid) if ic is None else ic
     state_hat = np.fft.rfft2(np.stack((u0, v0)).astype(np.float64))
+    state_hat = np.repeat(state_hat[None], mus.size, axis=0)
 
     def rhs(hat):
         fields = np.fft.irfft2(hat, s=(n, n))
         if not include_reaction:
             return -diffusion * hat, fields
-        u, v = fields
+        u, v = fields[:, 0], fields[:, 1]
         a2 = u * u + v * v
-        growth, rotation = 1.0 - a2, cfg.mu * a2
-        reaction = np.fft.rfft2(np.stack((growth * u + rotation * v, growth * v - rotation * u)))
+        growth, rotation = 1.0 - a2, rotation_rate * a2
+        reaction = np.fft.rfft2(
+            np.stack((growth * u + rotation * v, growth * v - rotation * u), axis=1))
         return reaction - diffusion * hat, fields
 
     times = time_grid(cfg.T, cfg.dt)
-    return times, _integrate(state_hat, rhs, times, cfg.dt)
+    return times, _integrate(state_hat, rhs, times, cfg.dt, mus)
 
 
-def solve_sw(cfg: SwConfig, ic: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def solve_sw(
+    cfg: SwConfig, ic: np.ndarray | None = None, *, mus: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the vorticity transport problem; snapshots at every step.
 
     Each RK4 stage re-solves the Poisson problem for the streamfunction
     (zero-mean gauge), forms the advection bracket pseudo-spectrally, and
     adds exact spectral diffusion. Returns (times, data) with data
-    (n^2, n_steps+1) holding flattened vorticity columns.
+    (n^2, n_steps+1) holding flattened vorticity columns. ``mus`` runs these
+    parameter values in place of ``cfg.mu``, side by side, into consecutive
+    column blocks.
     """
+    mus = np.array([cfg.mu] if mus is None else mus, dtype=np.float64)
     grid = Grid2D(cfg.n, cfg.L)
     k2, inv_k2 = _laplacian_symbols(grid)
     diffusion = cfg.d * k2
@@ -239,18 +260,20 @@ def solve_sw(cfg: SwConfig, ic: np.ndarray | None = None) -> tuple[np.ndarray, n
     # psi_x, psi_y, w_x, w_y and w itself from w_hat, with psi_hat = -w_hat / k^2
     multipliers = np.stack(np.broadcast_arrays(
         -ikx * inv_k2, -iky * inv_k2, ikx, iky, np.ones_like(k2)))
+    advection = -mus[:, None, None, None]
     n = cfg.n
 
     w0 = sw_initial(grid) if ic is None else ic
-    state_hat = np.fft.rfft2(np.asarray(w0, dtype=np.float64))[None]
+    state_hat = np.fft.rfft2(np.asarray(w0, dtype=np.float64))
+    state_hat = np.repeat(state_hat[None, None], mus.size, axis=0)
 
     def rhs(hat):
-        psi_x, psi_y, w_x, w_y, w = np.fft.irfft2(multipliers * hat, s=(n, n))
-        bracket = np.fft.rfft2(psi_x * w_y - psi_y * w_x)
-        return -cfg.mu * bracket - diffusion * hat, w[None]
+        psi_x, psi_y, w_x, w_y, w = np.fft.irfft2(multipliers * hat, s=(n, n)).swapaxes(0, 1)
+        bracket = np.fft.rfft2(psi_x * w_y - psi_y * w_x)[:, None]
+        return advection * bracket - diffusion * hat, w[:, None]
 
     times = time_grid(cfg.T, cfg.dt)
-    return times, _integrate(state_hat, rhs, times, cfg.dt)
+    return times, _integrate(state_hat, rhs, times, cfg.dt, mus)
 
 
 def _problem(name: str):
@@ -270,29 +293,22 @@ def generate_dataset(
 ) -> SnapshotSet:
     """Run the solver at every parameter value, in order, into one SnapshotSet.
 
-    Each trajectory is written into its own column block of the dataset as
-    soon as it is solved.
+    Every value is checked as a run config of its own; then all of them
+    advance side by side in one RK4 loop, each trajectory bit-identical to a
+    run of its value alone, written straight into its column block. A
+    diverging run is named by its parameter value.
     """
     values = params.values if isinstance(params, ParameterGrid) else np.asarray(params, float)
     if values.ndim != 1 or values.size < 1:
         raise ValidationError("parameter values must be a nonempty 1-D vector")
     config, solve, field_names = _problem(problem)
     extra = {} if profile.d is None else {"d": profile.d}
-    grid = Grid2D(profile.n, config.L)
-    times = time_grid(T, profile.dt)
-    data = np.empty((len(field_names) * grid.n**2, values.size * times.size),
-                    dtype=np.float64, order="F")
-    blocks = data.reshape(data.shape[0], values.size, times.size)
-    for i, mu in enumerate(values):
-        try:
-            cfg = config(n=profile.n, T=T, mu=float(mu), dt=profile.dt, **extra)
-            blocks[:, i] = solve(cfg)[1]
-        except InstabilityError as exc:
-            raise InstabilityError(f"mu = {mu:g}: {exc}") from exc
+    configs = [config(n=profile.n, T=T, mu=float(mu), dt=profile.dt, **extra) for mu in values]
+    times, data = solve(configs[0], mus=values)
     return SnapshotSet(
         fidelity=profile.fidelity,
         data=data,
-        grid=grid,
+        grid=Grid2D(profile.n, config.L),
         times=times,
         params=values[:, None],
         field_names=field_names,

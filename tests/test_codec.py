@@ -187,6 +187,22 @@ def test_forged_mfsnap_is_format_error(tmp_path, defect):
         read_snapshots(path)
 
 
+@pytest.mark.parametrize("defect", ["grid size", "time grid"])
+def test_forged_mfsnap_value_is_format_error(tmp_path, defect):
+    # SnapshotSet or Grid2D rejects the value; in a file that is a forged header
+    blob = bytearray(GOOD["snap"])
+    if defect == "grid size":
+        struct.pack_into("<I", blob, 24, 5)  # n_grid follows n_dof, n_t, n_mu and p
+        match = "n=5"
+    else:
+        struct.pack_into("<d", blob, 64 + 8 + 8, 0.0)  # the second time, after L and t0
+        match = "strictly increasing"
+    path = tmp_path / "forged.mfsnap"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=match):
+        read_snapshots(path)
+
+
 @pytest.mark.parametrize("defect", ["trailing bytes", "rows", "odd n"])
 def test_malformed_basis_block_is_format_error(tmp_path, defect):
     begin = block_offsets(GOOD["surr"])[0]

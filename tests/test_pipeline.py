@@ -17,6 +17,7 @@ from mfpod.mflstm import TrainConfig
 from mfpod.pipeline import (
     Provenance,
     SurrogateModel,
+    _column_errors,
     evaluate,
     load_model,
     offline_train,
@@ -223,6 +224,40 @@ def test_evaluate_matches_brute_force_column_metric(tiny_sets, tiny_model):
     assert report.err_mf_percent == pytest.approx(
         report.col_err_mf_percent.mean(), abs=1e-12
     )
+
+
+def test_evaluate_columns_equal_single_parameter_recomputation(tiny_sets, tiny_model):
+    # evaluate solves LF once for all parameters; every column must still be
+    # the bits of the single-parameter online path and its lifted LF input
+    hf, _ = tiny_sets
+    report = evaluate(tiny_model, GRID.values, 4.0, hf, timing_reps=0)
+    for i, mu in enumerate(GRID.values):
+        detail = online_predict_detailed(tiny_model, float(mu), 4.0)
+        spec = replace(tiny_model.lift_spec, dst_times=detail.prediction.times)
+        ref = hf.trajectory(i)
+        ref_norm = np.linalg.norm(ref, axis=0)
+        lifted = lift(detail.lf_snapshots, spec)
+        block = slice(i * hf.n_t, (i + 1) * hf.n_t)
+        assert np.array_equal(report.col_err_mf_percent[block],
+                              100.0 * _column_errors(ref, detail.prediction.data, ref_norm))
+        assert np.array_equal(report.col_err_lf_percent[block],
+                              100.0 * _column_errors(ref, lifted.data, ref_norm))
+        # the in-place squares sum as np.linalg.norm does, bit for bit
+        diff_norm = np.linalg.norm(ref - detail.prediction.data, axis=0)
+        assert np.array_equal(_column_errors(ref, detail.prediction.data, ref_norm),
+                              diff_norm / ref_norm)
+
+
+def test_evaluate_warns_out_of_range(tiny_model):
+    mu = 2.5
+    with pytest.warns(UserWarning, match="outside the training range"):
+        pred = online_predict(tiny_model, mu, 2.0)
+    reference = SnapshotSet(
+        "HF", pred.data, pred.grid, pred.times, np.array([[mu]]), pred.field_names
+    )
+    with pytest.warns(UserWarning, match=r"mu = 2\.5 lies outside the training range"):
+        report = evaluate(tiny_model, np.array([mu]), 2.0, reference, timing_reps=0)
+    assert report.err_mf_percent == 0.0
 
 
 def test_evaluate_rejects_missing_parameter(tiny_sets, tiny_model):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mfpod.errors import InstabilityError, ValidationError
@@ -303,6 +305,35 @@ def test_generate_annotates_failing_parameter():
     profile = FidelityProfile("LF", n=50, dt=1.0)
     with pytest.raises(InstabilityError, match="mu = 5"):
         generate_dataset("sw", profile, np.array([5.0]), 20.0)
+
+
+@pytest.mark.parametrize("mus", [[0.0, 5.0], [5.0, 0.0]])
+def test_generate_names_the_diverging_parameter_of_a_batch(mus):
+    # mu = 0 alone stays stable here; the batch must name mu = 5 wherever it sits
+    profile = FidelityProfile("LF", 50, 1.0)
+    with pytest.raises(InstabilityError, match=r"mu = 5: .*step 4 \(t = 4\)"):
+        generate_dataset("sw", profile, np.array(mus), 20.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    problem=st.sampled_from(["rd", "sw"]),
+    n=st.sampled_from([8, 16]),
+    mus=st.lists(st.floats(0.5, 3.0), min_size=1, max_size=4),
+    steps=st.integers(0, 4),
+)
+def test_batched_sweep_equals_single_runs_bitwise(problem, n, mus, steps):
+    # every mu of a sweep advances in one loop; each column block must be the
+    # bits of a run of that mu alone
+    dt = 0.1
+    profile = FidelityProfile("LF", n, dt)
+    snaps = generate_dataset(problem, profile, np.array(mus), steps * dt)
+    for i, mu in enumerate(mus):
+        if problem == "rd":
+            _, solo = solve_rd(RdConfig(n=n, T=steps * dt, mu=mu, dt=dt))
+        else:
+            _, solo = solve_sw(SwConfig(n=n, T=steps * dt, mu=mu, dt=dt))
+        assert np.array_equal(snaps.trajectory(i), solo)
 
 
 def test_generate_rejects_unknown_problem():
