@@ -278,8 +278,9 @@ def _warn_outside_training_range(model: SurrogateModel, mu: float) -> None:
         )
 
 
-def _online_from_lf(model: SurrogateModel, lf_set: SnapshotSet, spec: LiftSpec
-                    ) -> OnlinePrediction:
+def _online_from_lf(
+    model: SurrogateModel, lf_set: SnapshotSet, spec: LiftSpec
+) -> OnlinePrediction:
     """The online stages after the LF solve: lift-project, map, reconstruct."""
     coef_lf = lift_project(lf_set, spec, model.basis, stencil=model.stencil)
     coef_mf = predict(model.lstm, coef_lf)
