@@ -3,20 +3,24 @@
 
 From the root of the repository:
 
-    python scripts/bench.py            # 12 timed seconds per run, as BENCHMARK.json
-    python scripts/bench.py --seconds 4
+    python scripts/bench.py
 
-Each workload runs at seeds 1-3 with ``--trace 0`` for the end-to-end
-metrics, then at seed 1 with ``--trace 1`` for the per-layer metrics. Every
-child starts with ``MALLOC_MMAP_THRESHOLD_=131072``: glibc's dynamic mmap
-threshold otherwise flips rd-offline's peak memory between two values with
-unrelated code changes. The file records, per run, the last-line JSON and the
-info line of ``mfbench/run.py``, and, once, the numpy and BLAS versions, the
-CPU count, the heap setting and ``git rev-parse HEAD``. It is written to the
-first free ``BENCH_<n>.json`` at the root of the repository.
+Each run lasts the ``run_seconds`` of ``BENCHMARK.json``. Each workload runs
+at seeds 1-3 with ``--trace 0`` for the end-to-end metrics, then at seed 1
+with ``--trace 1`` for the per-layer metrics. Every child starts with
+``MALLOC_MMAP_THRESHOLD_=33554432``. Setting the threshold turns off glibc's
+dynamic mmap threshold, which otherwise flips rd-offline's peak memory between
+two values with unrelated code changes; 32 MiB is the ceiling of that dynamic
+threshold, so arrays below it come from the heap, as they do in a default
+process once it has freed an array that large. (A 128 KiB threshold makes every mid-size array an
+mmap/munmap pair with fresh page faults: a 3-parameter rd sweep at 64^2 then
+takes twice as long as under the default heap.) The file records, per run,
+the last-line JSON and the info line of ``mfbench/run.py``, and, once, the
+numpy and BLAS versions, the CPU count, the heap setting and
+``git rev-parse HEAD``. It is written to the first free ``BENCH_<n>.json`` at
+the root of the repository.
 """
 
-import argparse
 import json
 import os
 import platform
@@ -29,7 +33,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rd-offline", "sw-online", "rd-evaluate")
 RUNS = [(seed, 0) for seed in (1, 2, 3)] + [(1, 1)]  # (seed, trace)
-CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
+CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432"}
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def git_head() -> str | None:
@@ -53,9 +58,9 @@ def environment() -> dict:
     }
 
 
-def run_one(workload: str, seed: int, trace: int, seconds: float) -> dict:
+def run_one(workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "mfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, env={**os.environ, **CHILD_ENV},
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -75,11 +80,6 @@ def run_one(workload: str, seed: int, trace: int, seconds: float) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seconds", type=float, default=12.0,
-                        help="timed seconds per run (default 12)")
-    args = parser.parse_args()
-
     n = 0
     while (ROOT / f"BENCH_{n}.json").exists():
         n += 1
@@ -87,12 +87,12 @@ def main() -> int:
     runs = []
     for workload in WORKLOADS:
         for seed, trace in RUNS:
-            run = run_one(workload, seed, trace, args.seconds)
+            run = run_one(workload, seed, trace)
             ok = run["result"] is not None and run["result"]["correct"]
             print(f"{workload} seed {seed} trace {trace}: "
                   f"{'ok' if ok else 'FAILED'}  {run['info']}", flush=True)
             runs.append(run)
-    doc = {"seconds": args.seconds, "environment": environment(), "runs": runs}
+    doc = {"seconds": SECONDS, "environment": environment(), "runs": runs}
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path.name}")
     failed = [r for r in runs if r["result"] is None or not r["result"]["correct"]]

@@ -29,7 +29,7 @@ identical configs give bit-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -159,6 +159,24 @@ def solve_poisson(omega: np.ndarray, grid: Grid2D) -> np.ndarray:
     return np.fft.irfft2(-np.fft.rfft2(omega) * inv_k2, s=(grid.n, grid.n))
 
 
+def _parameter_values(mus) -> np.ndarray:
+    """The parameter values of a sweep as a nonempty 1-D float vector."""
+    values = np.asarray(mus, dtype=np.float64)
+    if values.ndim != 1 or values.size < 1:
+        raise ValidationError("parameter values must be a nonempty 1-D vector")
+    return values
+
+
+def _run_values(cfg: _RunChecks, mus) -> np.ndarray:
+    """``cfg.mu`` alone, or each of ``mus`` checked as ``cfg``'s own parameter."""
+    if mus is None:
+        return np.array([cfg.mu], dtype=np.float64)
+    values = _parameter_values(mus)
+    for mu in values:
+        replace(cfg, mu=float(mu))
+    return values
+
+
 def _integrate(
     state_hat: np.ndarray, rhs, times: np.ndarray, dt: float, mus: np.ndarray
 ) -> np.ndarray:
@@ -211,10 +229,10 @@ def solve_rd(
     Returns (times, data) with data (2*n^2, n_steps+1): each column stacks
     the flattened u field over the flattened v field. ``mus`` runs these
     parameter values in place of ``cfg.mu``, side by side, into consecutive
-    column blocks. ``ic`` and ``include_reaction`` are test hooks (defaults
+    column blocks; each is checked as ``cfg``'s own parameter. ``ic`` and ``include_reaction`` are test hooks (defaults
     reproduce the benchmark).
     """
-    mus = np.array([cfg.mu] if mus is None else mus, dtype=np.float64)
+    mus = _run_values(cfg, mus)
     grid = Grid2D(cfg.n, cfg.L)
     k2, _ = _laplacian_symbols(grid)
     diffusion = cfg.d * k2
@@ -250,9 +268,9 @@ def solve_sw(
     adds exact spectral diffusion. Returns (times, data) with data
     (n^2, n_steps+1) holding flattened vorticity columns. ``mus`` runs these
     parameter values in place of ``cfg.mu``, side by side, into consecutive
-    column blocks.
+    column blocks; each is checked as ``cfg``'s own parameter.
     """
-    mus = np.array([cfg.mu] if mus is None else mus, dtype=np.float64)
+    mus = _run_values(cfg, mus)
     grid = Grid2D(cfg.n, cfg.L)
     k2, inv_k2 = _laplacian_symbols(grid)
     diffusion = cfg.d * k2
@@ -293,18 +311,16 @@ def generate_dataset(
 ) -> SnapshotSet:
     """Run the solver at every parameter value, in order, into one SnapshotSet.
 
-    Every value is checked as a run config of its own; then all of them
-    advance side by side in one RK4 loop, each trajectory bit-identical to a
-    run of its value alone, written straight into its column block. A
-    diverging run is named by its parameter value.
+    All values advance side by side in one RK4 loop, each checked as a run
+    parameter by the solver and each trajectory bit-identical to a run of its
+    value alone, written straight into its column block. A diverging run is
+    named by its parameter value.
     """
-    values = params.values if isinstance(params, ParameterGrid) else np.asarray(params, float)
-    if values.ndim != 1 or values.size < 1:
-        raise ValidationError("parameter values must be a nonempty 1-D vector")
+    values = _parameter_values(params.values if isinstance(params, ParameterGrid) else params)
     config, solve, field_names = _problem(problem)
     extra = {} if profile.d is None else {"d": profile.d}
-    configs = [config(n=profile.n, T=T, mu=float(mu), dt=profile.dt, **extra) for mu in values]
-    times, data = solve(configs[0], mus=values)
+    cfg = config(n=profile.n, T=T, mu=float(values[0]), dt=profile.dt, **extra)
+    times, data = solve(cfg, mus=values)
     return SnapshotSet(
         fidelity=profile.fidelity,
         data=data,

@@ -336,6 +336,22 @@ def test_batched_sweep_equals_single_runs_bitwise(problem, n, mus, steps):
         assert np.array_equal(snaps.trajectory(i), solo)
 
 
+@pytest.mark.parametrize("solve, cfg", [(solve_rd, RdConfig(n=8, T=0.1, mu=1.0)),
+                                        (solve_sw, SwConfig(n=8, T=0.1, mu=1.0))])
+@pytest.mark.parametrize("mus", [[np.nan], [1.0, np.inf], [], 1.0, [[1.0, 2.0]]],
+                         ids=["nan", "inf", "empty", "0-d", "2-d"])
+def test_solver_checks_given_parameter_values(solve, cfg, mus):
+    # values given in place of cfg.mu go through the same rule as cfg.mu
+    with pytest.raises(ValidationError):
+        solve(cfg, mus=mus)
+
+
+@pytest.mark.parametrize("mus", [[np.nan], [], [[1.0, 2.0]]], ids=["nan", "empty", "2-d"])
+def test_generate_rejects_bad_parameter_values(mus):
+    with pytest.raises(ValidationError):
+        generate_dataset("rd", FidelityProfile("LF", 8, 0.1), np.array(mus), 0.1)
+
+
 def test_generate_rejects_unknown_problem():
     with pytest.raises(ValidationError):
         generate_dataset("heat", FidelityProfile("HF", 8, 0.1), np.array([1.0]), 1.0)
