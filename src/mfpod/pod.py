@@ -6,11 +6,13 @@ tolerance ``tol``: the retained count is the minimum N such that
 
     sum_{i<=N} sigma_i^2 / sum_i sigma_i^2  >=  1 - tol^2.
 
-For tall-thin snapshot matrices (n_dof >> n_columns, the usual regime) the
-decomposition goes through the eigendecomposition of the small Gram matrix
-X^T X, forming only the retained left vectors; otherwise a direct thin SVD
-is used. Both routes agree to LAPACK accuracy and are cross-checked in the
-test suite.
+Snapshot matrices with more than ``_GRAM_THRESHOLD`` (1024) columns and at
+least as many rows go through the eigendecomposition of the small Gram
+matrix X^T X, forming only the retained left vectors; every other set,
+tall-thin ones of up to 1024 columns included, takes a direct thin SVD.
+So the 1203-column rd-offline benchmark set takes the Gram route and the
+603-column sets of the other two benchmark workloads the SVD. Both routes
+agree to LAPACK accuracy and are cross-checked in the test suite.
 
 Each retained mode is flipped so that its largest-magnitude entry is
 positive (the ``svd_flip`` convention), on both routes. Singular vectors are
@@ -217,9 +219,14 @@ def reconstruct(basis: PodBasis, series: CoefficientSeries) -> SnapshotSet:
         raise ShapeError(
             f"coefficient rows ({coeffs.shape[0]}) do not match basis n_pod ({basis.n_pod})"
         )
-    data = basis.modes @ coeffs
+    product = basis.modes @ coeffs
     if basis.snapshot_mean is not None:
-        data = data + basis.snapshot_mean[:, None]
+        product += basis.snapshot_mean[:, None]
+    # the product comes back row-major and a SnapshotSet is column-major; a
+    # copy in row blocks stays in cache, where a whole-array one does not
+    data = np.empty(product.shape, order="F")
+    for start in range(0, product.shape[0], 256):
+        data[start : start + 256] = product[start : start + 256]
     return SnapshotSet(
         fidelity="HF",
         data=data,

@@ -18,11 +18,15 @@ pseudo-spectrally in physical space, and advance with classical fixed-step
 RK4 through one shared loop, which also stores every step and stops a
 diverging run. The leading axis carries the parameter values of a sweep, so
 all of them advance in one RK4 loop; each trajectory is bit-identical to a
-run of its parameter alone, and a single run is the n_mu = 1 case. First
-derivatives multiply by i*k with the Nyquist wavenumber set to 0: the
-Nyquist mode of a real field has no real odd derivative, and this is what
-taking the real part of a full complex transform gives. No dealiasing
-filter is applied. Snapshots are stored at every step, so a run
+run of its parameter alone, and a single run is the n_mu = 1 case. The
+RK4 stage slopes, stage state and sum, the transform outputs and the
+nonlinear terms that are transformed live in buffers allocated once per
+solve and reused at every stage; the two-dimensional transforms run as the
+one-dimensional passes numpy's own ``rfft2``/``irfft2`` make, so the bits
+are theirs. First derivatives multiply by i*k with the Nyquist wavenumber
+set to 0: the Nyquist mode of a real field has no real odd derivative, and
+this is what taking the real part of a full complex transform gives. No
+dealiasing filter is applied. Snapshots are stored at every step, so a run
 over [0, T] yields round(T/dt) + 1 columns. Trajectories are deterministic:
 identical configs give bit-identical output.
 """
@@ -183,38 +187,49 @@ def _integrate(
     """Classical RK4 on a stacked half-spectrum state; one column per step and mu.
 
     ``state_hat`` has shape (n_mu, n_fields, n, n//2+1), one run per entry
-    of ``mus``. ``rhs(hat)`` returns d(hat)/dt and the physical fields of
-    ``hat``, so the k1 stage of a step also yields the snapshot of the state
-    it starts from. Column i*n_t + j stacks the flattened fields of run i at
-    ``times[j]``, the parameter-major order of a ``SnapshotSet``.
+    of ``mus``, and is advanced in place. ``rhs(hat, out, store)`` writes
+    d(hat)/dt into ``out`` and, when ``store`` is set, returns the physical
+    fields of ``hat``: the k1 stage of a step also yields the snapshot of the
+    state it starts from. Column i*n_t + j stacks the flattened fields of run
+    i at ``times[j]``, the parameter-major order of a ``SnapshotSet``. The
+    stage and sum buffers are allocated once; each update is the same
+    operation on the same operands, in the same order, as
+    ``state + (dt/6) * (k1 + 2*k2 + 2*k3 + k4)`` written out.
     """
     n_mu, n_fields, n = state_hat.shape[:3]
     data = np.empty((n_fields * n * n, n_mu * times.size), dtype=np.float64, order="F")
     # column-major view: data[ix + n*iy + n*n*f, i*n_t + j] is columns[ix, iy, f, j, i]
     columns = data.reshape((n, n, n_fields, times.size, n_mu), order="F")
+    k1, k2, k3, k4, stage, acc = (np.empty_like(state_hat) for _ in range(6))
     # overflow in a diverging run is reported as InstabilityError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        k1, fields = rhs(state_hat)
-        columns[..., 0, :] = fields.transpose(2, 3, 1, 0)
+        columns[..., 0, :] = rhs(state_hat, k1, True).transpose(2, 3, 1, 0)
         for step in range(1, times.size):
-            k2, _ = rhs(state_hat + 0.5 * dt * k1)
-            k3, _ = rhs(state_hat + 0.5 * dt * k2)
-            k4, _ = rhs(state_hat + dt * k3)
-            state_hat = state_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            for k_in, k_out, h in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+                np.multiply(h, k_in, out=stage)
+                np.add(state_hat, stage, out=stage)
+                rhs(stage, k_out, False)
+            np.multiply(2.0, k2, out=acc)
+            np.add(k1, acc, out=acc)
+            np.multiply(2.0, k3, out=stage)
+            np.add(acc, stage, out=acc)
+            np.add(acc, k4, out=acc)
+            np.multiply(dt / 6.0, acc, out=acc)
+            np.add(state_hat, acc, out=state_hat)
             _check_finite(state_hat, step, times[step], mus)
-            k1, fields = rhs(state_hat)
-            columns[..., step, :] = fields.transpose(2, 3, 1, 0)
+            columns[..., step, :] = rhs(state_hat, k1, True).transpose(2, 3, 1, 0)
     return data
 
 
 def _check_finite(state_hat: np.ndarray, step: int, t: float, mus: np.ndarray) -> None:
     """Name the first run, in input order, whose state is no longer finite."""
+    if np.isfinite(state_hat).all():
+        return
     finite = np.isfinite(state_hat).reshape(len(mus), -1).all(axis=1)
-    if not finite.all():
-        raise InstabilityError(
-            f"mu = {mus[np.argmin(finite)]:g}: solver produced non-finite values at "
-            f"step {step} (t = {t:g}); reduce dt or resolution demands"
-        )
+    raise InstabilityError(
+        f"mu = {mus[np.argmin(finite)]:g}: solver produced non-finite values at "
+        f"step {step} (t = {t:g}); reduce dt or resolution demands"
+    )
 
 
 def solve_rd(
@@ -229,30 +244,40 @@ def solve_rd(
     Returns (times, data) with data (2*n^2, n_steps+1): each column stacks
     the flattened u field over the flattened v field. ``mus`` runs these
     parameter values in place of ``cfg.mu``, side by side, into consecutive
-    column blocks; each is checked as ``cfg``'s own parameter. ``ic`` and ``include_reaction`` are test hooks (defaults
-    reproduce the benchmark).
+    column blocks; each is checked as ``cfg``'s own parameter. ``ic`` and
+    ``include_reaction`` are test hooks (defaults reproduce the benchmark).
     """
     mus = _run_values(cfg, mus)
     grid = Grid2D(cfg.n, cfg.L)
     k2, _ = _laplacian_symbols(grid)
-    diffusion = cfg.d * k2
+    # complex once per solve, as numpy would cast the real multipliers per call
+    diffusion = (cfg.d * k2).astype(np.complex128)
+    decay = (-(cfg.d * k2)).astype(np.complex128)
     rotation_rate = mus[:, None, None]
     n = cfg.n
 
     u0, v0 = rd_initial(grid) if ic is None else ic
     state_hat = np.fft.rfft2(np.stack((u0, v0)).astype(np.float64))
     state_hat = np.repeat(state_hat[None], mus.size, axis=0)
+    spectrum = np.empty_like(state_hat)
+    fields, reaction = np.empty((2, mus.size, 2, n, n))
 
-    def rhs(hat):
-        fields = np.fft.irfft2(hat, s=(n, n))
-        if not include_reaction:
-            return -diffusion * hat, fields
-        u, v = fields[:, 0], fields[:, 1]
-        a2 = u * u + v * v
-        growth, rotation = 1.0 - a2, rotation_rate * a2
-        reaction = np.fft.rfft2(
-            np.stack((growth * u + rotation * v, growth * v - rotation * u), axis=1))
-        return reaction - diffusion * hat, fields
+    def rhs(hat, out, store):
+        # irfft2 and rfft2 as their 1-D passes, into the buffers above
+        np.fft.ifft(hat, axis=-2, out=spectrum)
+        np.fft.irfft(spectrum, n, axis=-1, out=fields)
+        if include_reaction:
+            u, v = fields[:, 0], fields[:, 1]
+            a2 = u * u + v * v
+            growth, rotation = 1.0 - a2, rotation_rate * a2
+            np.add(growth * u, rotation * v, out=reaction[:, 0])
+            np.subtract(growth * v, rotation * u, out=reaction[:, 1])
+            np.fft.rfft(reaction, axis=-1, out=out)
+            np.fft.fft(out, axis=-2, out=out)
+            np.subtract(out, np.multiply(diffusion, hat, out=spectrum), out=out)
+        else:
+            np.multiply(decay, hat, out=out)
+        return fields if store else None
 
     times = time_grid(cfg.T, cfg.dt)
     return times, _integrate(state_hat, rhs, times, cfg.dt, mus)
@@ -273,22 +298,35 @@ def solve_sw(
     mus = _run_values(cfg, mus)
     grid = Grid2D(cfg.n, cfg.L)
     k2, inv_k2 = _laplacian_symbols(grid)
-    diffusion = cfg.d * k2
+    diffusion = (cfg.d * k2).astype(np.complex128)
     ikx, iky = _derivative_multipliers(grid)
     # psi_x, psi_y, w_x, w_y and w itself from w_hat, with psi_hat = -w_hat / k^2
     multipliers = np.stack(np.broadcast_arrays(
         -ikx * inv_k2, -iky * inv_k2, ikx, iky, np.ones_like(k2)))
-    advection = -mus[:, None, None, None]
+    advection = (-mus).astype(np.complex128)[:, None, None, None]
     n = cfg.n
 
     w0 = sw_initial(grid) if ic is None else ic
     state_hat = np.fft.rfft2(np.asarray(w0, dtype=np.float64))
     state_hat = np.repeat(state_hat[None, None], mus.size, axis=0)
+    spectra = np.empty((mus.size, 5, n, n // 2 + 1), dtype=np.complex128)
+    physical = np.empty((mus.size, 5, n, n))
+    bracket = np.empty((mus.size, 1, n, n))
 
-    def rhs(hat):
-        psi_x, psi_y, w_x, w_y, w = np.fft.irfft2(multipliers * hat, s=(n, n)).swapaxes(0, 1)
-        bracket = np.fft.rfft2(psi_x * w_y - psi_y * w_x)[:, None]
-        return advection * bracket - diffusion * hat, w[:, None]
+    def rhs(hat, out, store):
+        # w itself is needed only for the stored snapshot; every 1-D line is
+        # transformed on its own, so the other four fields keep their bits
+        used = slice(5 if store else 4)
+        np.multiply(multipliers[used], hat, out=spectra[:, used])
+        np.fft.ifft(spectra[:, used], axis=-2, out=spectra[:, used])
+        np.fft.irfft(spectra[:, used], n, axis=-1, out=physical[:, used])
+        psi_x, psi_y, w_x, w_y, w = physical.swapaxes(0, 1)
+        np.subtract(psi_x * w_y, psi_y * w_x, out=bracket[:, 0])
+        np.fft.rfft(bracket, axis=-1, out=out)
+        np.fft.fft(out, axis=-2, out=out)
+        np.multiply(advection, out, out=out)
+        np.subtract(out, np.multiply(diffusion, hat, out=spectra[:, :1]), out=out)
+        return w[:, None] if store else None
 
     times = time_grid(cfg.T, cfg.dt)
     return times, _integrate(state_hat, rhs, times, cfg.dt, mus)

@@ -134,6 +134,22 @@ def test_reconstruct_zero_and_unit_coefficients():
         assert_allclose(out.data[:, 0], basis.modes[:, k], atol=1e-14)
 
 
+@pytest.mark.parametrize("center", [False, True], ids=["uncentred", "centred"])
+def test_reconstruct_is_the_column_major_product_bitwise(center):
+    # 600 rows: two whole row blocks of the column-major copy and a partial one
+    rng = np.random.default_rng(12)
+    basis = build_basis(as_set(rng.standard_normal((600, 40)) + 3.0),
+                        PodRule(n_modes=7, center=center))
+    series = CoefficientSeries(rng.standard_normal((7, 40)), np.linspace(0, 1, 40),
+                               np.array([[1.0]]))
+    out = reconstruct(basis, series)
+    expected = basis.modes @ series.coeffs
+    if center:
+        expected = expected + basis.snapshot_mean[:, None]
+    assert out.data.flags.f_contiguous
+    assert out.data.tobytes() == np.asfortranarray(expected).tobytes()
+
+
 def test_reconstruct_rejects_coefficient_mismatch():
     rng = np.random.default_rng(8)
     basis = build_basis(as_set(rng.standard_normal((30, 9))), PodRule(n_modes=4))

@@ -13,6 +13,8 @@ from mfpod.solvers import (
     FidelityProfile,
     RdConfig,
     SwConfig,
+    _derivative_multipliers,
+    _laplacian_symbols,
     generate_dataset,
     rd_initial,
     solve_poisson,
@@ -265,6 +267,95 @@ def test_half_spectrum_solvers_match_complex_fft_reference(problem):
         expected = _reference_rk4(_reference_sw_rhs(cfg), fields, cfg.dt, steps)
     assert data.shape == expected.shape
     assert np.abs(data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+# ---------------------------------------------------------------------------
+# buffered kernel against the allocate-per-stage kernel
+# ---------------------------------------------------------------------------
+
+def _allocating_rk4(state_hat, rhs, dt, steps):
+    """The RK4 loop with a fresh array for every stage, sum and transform,
+    writing the parameter-major columns of ``_integrate``."""
+    n_mu, n_fields, n = state_hat.shape[:3]
+    data = np.empty((n_fields * n * n, n_mu * (steps + 1)), order="F")
+    columns = data.reshape((n, n, n_fields, steps + 1, n_mu), order="F")
+    k1, fields = rhs(state_hat)
+    columns[..., 0, :] = fields.transpose(2, 3, 1, 0)
+    for step in range(1, steps + 1):
+        k2, _ = rhs(state_hat + 0.5 * dt * k1)
+        k3, _ = rhs(state_hat + 0.5 * dt * k2)
+        k4, _ = rhs(state_hat + dt * k3)
+        state_hat = state_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1, fields = rhs(state_hat)
+        columns[..., step, :] = fields.transpose(2, 3, 1, 0)
+    return data
+
+
+def _allocating_rd(cfg, ic, include_reaction, mus):
+    k2, _ = _laplacian_symbols(Grid2D(cfg.n, cfg.L))
+    diffusion = cfg.d * k2
+    rate = mus[:, None, None]
+    n = cfg.n
+
+    def rhs(hat):
+        fields = np.fft.irfft2(hat, s=(n, n))
+        if not include_reaction:
+            return -diffusion * hat, fields
+        u, v = fields[:, 0], fields[:, 1]
+        a2 = u * u + v * v
+        growth, rotation = 1.0 - a2, rate * a2
+        reaction = np.fft.rfft2(
+            np.stack((growth * u + rotation * v, growth * v - rotation * u), axis=1))
+        return reaction - diffusion * hat, fields
+
+    return np.repeat(np.fft.rfft2(np.stack(ic))[None], mus.size, axis=0), rhs
+
+
+def _allocating_sw(cfg, ic, mus):
+    grid = Grid2D(cfg.n, cfg.L)
+    k2, inv_k2 = _laplacian_symbols(grid)
+    diffusion = cfg.d * k2
+    ikx, iky = _derivative_multipliers(grid)
+    multipliers = np.stack(np.broadcast_arrays(
+        -ikx * inv_k2, -iky * inv_k2, ikx, iky, np.ones_like(k2)))
+    advection = -mus[:, None, None, None]
+    n = cfg.n
+
+    def rhs(hat):
+        psi_x, psi_y, w_x, w_y, w = np.fft.irfft2(multipliers * hat, s=(n, n)).swapaxes(0, 1)
+        bracket = np.fft.rfft2(psi_x * w_y - psi_y * w_x)[:, None]
+        return advection * bracket - diffusion * hat, w[:, None]
+
+    return np.repeat(np.fft.rfft2(ic)[None, None], mus.size, axis=0), rhs
+
+
+@pytest.mark.parametrize("ic", ["random", "zeros"])
+@pytest.mark.parametrize("mus", [[1.3], [0.5, 1.0, 2.5]], ids=["1mu", "3mu"])
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("case", ["rd", "rd-diffusion", "sw"])
+def test_buffered_kernel_equals_allocating_kernel_bitwise(case, n, mus, ic):
+    # the solvers reuse their stage buffers and run rfft2/irfft2 as 1-D passes;
+    # every operation must stay the same, so the bits, signed zeros included,
+    # must be those of the kernel that allocates every stage
+    rng = np.random.default_rng(n + len(mus))
+    fields = rng.uniform(-1.0, 1.0, (2, n, n))
+    if ic == "zeros":
+        fields[0] = 0.0
+        fields[1, ::2] = -0.0
+    mus = np.array(mus)
+    steps = 5
+    if case == "sw":
+        cfg = SwConfig(n=n, T=steps * 0.1, mu=1.0, dt=0.1)
+        _, data = solve_sw(cfg, ic=fields[1], mus=mus)
+        state_hat, rhs = _allocating_sw(cfg, fields[1], mus)
+    else:
+        reaction = case == "rd"
+        cfg = RdConfig(n=n, T=steps * 0.05, mu=1.0, dt=0.05)
+        _, data = solve_rd(cfg, ic=tuple(fields), include_reaction=reaction, mus=mus)
+        state_hat, rhs = _allocating_rd(cfg, tuple(fields), reaction, mus)
+    expected = _allocating_rk4(state_hat, rhs, cfg.dt, steps)
+    assert data.shape == expected.shape
+    assert data.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
