@@ -17,20 +17,22 @@ live on the model so that serialized models are self-contained.
 Training minimizes the mean squared 2-norm of the residual over all
 (time, parameter) samples with Adam over backpropagation-through-time
 gradients, computed on zero-initial-state subsequences of length
-``k_window``. The last 10% of every trajectory is held out; the returned
-weights are those with the best held-out loss. Everything is seeded and
-single-threaded: identical data, config, and seed give bit-identical
-weights.
+``k_window``. The last 10% of every trajectory is held out; after the last
+epoch the weights of the epoch with the best held-out loss are copied back
+into the model. Everything is seeded and single-threaded: identical data,
+config, and seed give bit-identical weights.
 
 The static baseline is a plain feed-forward network over [mu, low-fidelity
 coefficients] (no time input, no recurrence) mapping columns independently;
 with zero hidden layers it degenerates to linear regression.
 
 Both models train through one loop, ``_fit``: seeded shuffles, mini-batch
-Adam, the divergence check and best-held-out-weights tracking. Each model
-supplies only its features, initial weights and a batch loss-and-gradient
-closure. The LSTM's closure is ``_sse_grads``; the finite-difference checks
-in the test suite call it directly, so they test the code training runs.
+Adam, the divergence check and best-held-out-weights tracking. Each model is
+built from its initial weights before training, and ``_fit`` updates the
+arrays ``_params`` lists in place. A model supplies only its features and a
+batch loss-and-gradient closure over ``_sse_grads`` (LSTM) or
+``_mlp_sse_grads`` (static baseline); the finite-difference checks in the
+test suite call both directly, so they test the code training runs.
 
 Each LSTM layer is one stacked (4H, H + D) gate matrix and one (4H,) bias in
 gate order f, u, o, c: the layout of the kernels, the initialiser, Adam and
@@ -130,6 +132,10 @@ class LstmModel:
     output_norm: Normalizer
     layout: FeatureLayout
     history: list = field(default_factory=list, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.layers:
+            raise ValidationError("the recurrent model needs at least one layer")
 
     @property
     def hidden(self) -> int:
@@ -300,6 +306,32 @@ def _mlp_forward(weights, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return acts[-1] @ w.T + b, acts
 
 
+def _mlp_sse_grads(weights, scale_sq, x, y) -> tuple[float, list[np.ndarray]]:
+    """Summed squared error in physical units over normalized (N, .) x and y.
+
+    The gradients are of the mean over N, in the order W, b of every layer.
+    """
+    pred, acts = _mlp_forward(weights, x)
+    resid = pred - y
+    sse = float((resid**2 * scale_sq).sum())
+    delta = (2.0 / x.shape[0]) * resid * scale_sq
+    grads = []
+    for wi in range(len(weights) - 1, -1, -1):
+        grads[:0] = [delta.T @ acts[wi], delta.sum(axis=0)]
+        if wi > 0:
+            delta = (delta @ weights[wi][0]) * (1.0 - acts[wi] ** 2)
+    return sse, grads
+
+
+def _params(model: LstmModel | StaticModel) -> list[np.ndarray]:
+    """The trainable arrays, in the order the loss closures return gradients."""
+    if isinstance(model, LstmModel):
+        pairs = [(layer.w, layer.b) for layer in model.layers] + [(model.w_out, model.b_out)]
+    else:
+        pairs = model.weights
+    return [arr for pair in pairs for arr in pair]
+
+
 # ---------------------------------------------------------------------------
 # feature assembly
 # ---------------------------------------------------------------------------
@@ -321,7 +353,8 @@ def _feature_tensor(series: CoefficientSeries, with_time: bool) -> np.ndarray:
 
 
 def _samples(lf: CoefficientSeries, hf: CoefficientSeries, with_time: bool):
-    """Layout, feature and target tensors, held-out step count, normalizers.
+    """Layout, normalizers, normalized (n_mu, n_t, .) features and targets, and
+    the number of leading training steps of every trajectory.
 
     The last ``_VAL_FRACTION`` of every trajectory is held out; the
     normalizers are fitted on the remaining training span.
@@ -338,10 +371,11 @@ def _samples(lf: CoefficientSeries, hf: CoefficientSeries, with_time: bool):
     features = _feature_tensor(lf, with_time=with_time)
     targets = _target_tensor(hf)
     n_t = features.shape[1]
-    n_val = max(1, int(round(_VAL_FRACTION * n_t))) if n_t > 1 else 0
-    in_norm = Normalizer.fit(features[:, : n_t - n_val].reshape(-1, layout.n_features))
-    out_norm = Normalizer.fit(targets[:, : n_t - n_val].reshape(-1, targets.shape[2]))
-    return layout, features, targets, n_val, in_norm, out_norm
+    n_train_t = n_t - (max(1, int(round(_VAL_FRACTION * n_t))) if n_t > 1 else 0)
+    in_norm = Normalizer.fit(features[:, :n_train_t].reshape(-1, layout.n_features))
+    out_norm = Normalizer.fit(targets[:, :n_train_t].reshape(-1, targets.shape[2]))
+    return (layout, in_norm, out_norm, in_norm.encode(features), out_norm.encode(targets),
+            n_train_t)
 
 
 def _window_starts(n_train_t: int, k: int) -> list[int]:
@@ -352,36 +386,42 @@ def _window_starts(n_train_t: int, k: int) -> list[int]:
     return starts
 
 
-def _init_lstm_params(cfg: TrainConfig, d_in: int, n_out: int, rng) -> tuple[list, tuple]:
+def _init_lstm(cfg: TrainConfig, layout: FeatureLayout, in_norm: Normalizer,
+               out_norm: Normalizer, rng) -> LstmModel:
     layers = []
     for li in range(cfg.n_layers):
-        d_layer = d_in if li == 0 else cfg.hidden
+        d_layer = layout.n_features if li == 0 else cfg.hidden
         limit = 1.0 / np.sqrt(cfg.hidden + d_layer)
         w_all = rng.uniform(-limit, limit, size=(4 * cfg.hidden, cfg.hidden + d_layer))
         b_all = np.zeros(4 * cfg.hidden)
         b_all[: cfg.hidden] = 1.0  # forget-gate bias; aids gradient flow early on
         layers.append(LstmLayerWeights(w_all, b_all))
     limit = 1.0 / np.sqrt(cfg.hidden)
+    n_out = out_norm.mean.size
     w_out = rng.uniform(-limit, limit, size=(n_out, cfg.hidden))
-    b_out = np.zeros(n_out)
-    return layers, (w_out, b_out)
+    return LstmModel(layers, w_out, np.zeros(n_out), in_norm, out_norm, layout)
 
 
-def _fit(cfg: TrainConfig, rng, params: list[np.ndarray], n_items: int, batch_size: int,
-         batch_sse_grads, n_terms: int, val_loss, val_every: int):
-    """Adam on ``params`` (in place) over shuffled batches of ``n_items`` items.
+def _fit(cfg: TrainConfig, rng, model: LstmModel | StaticModel, n_items: int,
+         batch_size: int, batch_sse_grads, n_terms: int, val_loss, val_every: int):
+    """Adam on the model's own arrays, in place, over shuffled batches of
+    ``n_items`` items.
 
     ``batch_sse_grads(idx)`` returns a batch's summed squared error and its
     gradients; an epoch's training loss is the summed error over ``n_terms``.
     ``val_loss`` (None when nothing is held out) runs every ``val_every``
-    epochs and after the last. Returns the parameters with the best held-out
-    loss, or the final ones if none was finite, and the (epoch, train, val)
-    history.
+    epochs and after the last. After the last epoch, the values of the epoch
+    with the best held-out loss are copied back into the model's arrays; if
+    no held-out loss was finite, the final values stay. Returns the
+    (epoch, train, val) history.
     """
+    if val_every < 1:
+        raise ValidationError(f"val_every must be >= 1, got {val_every}")
+    params = _params(model)
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     n_steps = 0
     best_val = np.inf
-    best = [p.copy() for p in params]
+    best = []
     history: list[tuple[int, float, float]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
@@ -409,9 +449,9 @@ def _fit(cfg: TrainConfig, rng, params: list[np.ndarray], n_items: int, batch_si
                     best_val = val
                     best = [p.copy() for p in params]
             history.append((epoch, train_loss, val))
-    if not np.isfinite(best_val):
-        best = [p.copy() for p in params]
-    return best, history
+    for p, b in zip(params, best):
+        p[...] = b
+    return history
 
 
 def _sse_grads(layers, readout, scale_sq, x, y) -> tuple[float, list[np.ndarray]]:
@@ -438,9 +478,8 @@ def train(
     """Fit the LSTM map from low- to high-fidelity coefficient sequences.
 
     The two series must be aligned column by column (same times, same
-    parameters). Returns the weights with the best held-out loss; the
-    per-epoch (train, validation) normalized losses are on
-    ``model.history``.
+    parameters). Returns the model with the weights of its best held-out
+    epoch; the per-epoch (train, validation) losses are on ``model.history``.
 
     Validation is a full-sequence forward pass over every parameter, run
     every ``val_every`` epochs and after the last, and it is not cheap: on
@@ -449,31 +488,24 @@ def train(
     0.50 s with ``val_every=40``, which validates after the first and the
     last epoch only.
     """
-    if cfg.n_layers < 1:
-        raise ValidationError("the recurrent model needs at least one layer")
-    layout, features, targets, n_val, in_norm, out_norm = _samples(lf, hf, with_time=True)
-    n_mu, n_t, _ = features.shape
-    n_train_t = n_t - n_val
+    layout, in_norm, out_norm, x_all, y_all, n_train_t = _samples(lf, hf, with_time=True)
+    n_mu, n_t, _ = y_all.shape
+    rng = np.random.default_rng(cfg.seed)
+    model = _init_lstm(cfg, layout, in_norm, out_norm, rng)
     if cfg.k_window > n_train_t:
         raise TrainingError(
             f"subsequence length {cfg.k_window} exceeds the {n_train_t} training "
             f"steps left after holding out validation"
         )
 
-    x_all = in_norm.encode(features)
-    y_all = out_norm.encode(targets)
-
     starts = _window_starts(n_train_t, cfg.k_window)
     windows = [(i, s) for i in range(n_mu) for s in starts]
     x_win = np.stack([x_all[i, s : s + cfg.k_window] for i, s in windows])
     y_win = np.stack([y_all[i, s : s + cfg.k_window] for i, s in windows])
 
-    rng = np.random.default_rng(cfg.seed)
-    layers, readout = _init_lstm_params(cfg, layout.n_features, targets.shape[2], rng)
-    flat = [arr for layer in layers for arr in (layer.w, layer.b)] + list(readout)
-
     x_full = x_all.transpose(1, 0, 2)
     y_full = y_all.transpose(1, 0, 2)
+    layers, readout = model.layers, (model.w_out, model.b_out)
     # the objective lives in raw coefficient units: undoing the output
     # z-score inside the loss weights every mode by its physical scale
     scale_sq = out_norm.std**2
@@ -485,20 +517,12 @@ def train(
     def validation_loss() -> float:
         y_pred, _ = _forward_stacked(layers, readout, x_full)
         resid = y_pred[n_train_t:] - y_full[n_train_t:]
-        return float((resid**2 * scale_sq).sum() / (n_val * n_mu))
+        return float((resid**2 * scale_sq).sum() / ((n_t - n_train_t) * n_mu))
 
-    best, history = _fit(cfg, rng, flat, len(windows), cfg.n_batch, batch_sse_grads,
-                         cfg.k_window * len(windows), validation_loss if n_val else None,
-                         val_every)
-    return LstmModel(
-        layers=[LstmLayerWeights(best[2 * li], best[2 * li + 1]) for li in range(cfg.n_layers)],
-        w_out=best[-2],
-        b_out=best[-1],
-        input_norm=in_norm,
-        output_norm=out_norm,
-        layout=layout,
-        history=history,
-    )
+    model.history = _fit(cfg, rng, model, len(windows), cfg.n_batch, batch_sse_grads,
+                         cfg.k_window * len(windows),
+                         validation_loss if n_train_t < n_t else None, val_every)
+    return model
 
 
 def train_static_baseline(
@@ -508,60 +532,41 @@ def train_static_baseline(
     val_every: int = 1,
 ) -> StaticModel:
     """Fit the time-agnostic feed-forward baseline on independent columns."""
-    layout, features, targets, n_val, in_norm, out_norm = _samples(lf, hf, with_time=False)
-    n_train_t = features.shape[1] - n_val
-    xn = in_norm.encode(features[:, :n_train_t].reshape(-1, layout.n_features))
-    yn = out_norm.encode(targets[:, :n_train_t].reshape(-1, targets.shape[2]))
-    x_val = in_norm.encode(features[:, n_train_t:].reshape(-1, layout.n_features))
-    y_val = out_norm.encode(targets[:, n_train_t:].reshape(-1, targets.shape[2]))
+    layout, in_norm, out_norm, x_all, y_all, n_train_t = _samples(lf, hf, with_time=False)
+    # every (parameter, time) column is one sample, on either side of the split
+    xn, yn = (a[:, :n_train_t].reshape(-1, a.shape[2]) for a in (x_all, y_all))
+    x_val, y_val = (a[:, n_train_t:].reshape(-1, a.shape[2]) for a in (x_all, y_all))
 
     rng = np.random.default_rng(cfg.seed)
-    dims = [layout.n_features] + [cfg.hidden] * cfg.n_layers + [targets.shape[2]]
+    dims = [layout.n_features] + [cfg.hidden] * cfg.n_layers + [y_all.shape[2]]
     weights = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         limit = 1.0 / np.sqrt(d_in)
         weights.append((rng.uniform(-limit, limit, size=(d_out, d_in)), np.zeros(d_out)))
-    flat = [arr for pair in weights for arr in pair]
+    model = StaticModel(weights, in_norm, out_norm, layout)
     scale_sq = out_norm.std**2
 
     def batch_sse_grads(idx):
-        pred, acts = _mlp_forward(weights, xn[idx])
-        resid = pred - yn[idx]
-        sse = float((resid**2 * scale_sq).sum())
-        delta = (2.0 / idx.size) * resid * scale_sq
-        grads_rev = []
-        for wi in range(len(weights) - 1, -1, -1):
-            w, _ = weights[wi]
-            grads_rev.append((delta.T @ acts[wi], delta.sum(axis=0)))
-            if wi > 0:
-                delta = (delta @ w) * (1.0 - acts[wi] ** 2)
-        return sse, [arr for pair in reversed(grads_rev) for arr in pair]
+        return _mlp_sse_grads(weights, scale_sq, xn[idx], yn[idx])
 
     def validation_loss() -> float:
         pred, _ = _mlp_forward(weights, x_val)
         return float(((pred - y_val) ** 2 * scale_sq).sum() / x_val.shape[0])
 
-    best, history = _fit(cfg, rng, flat, xn.shape[0], cfg.n_batch * cfg.k_window,
-                         batch_sse_grads, xn.shape[0], validation_loss if n_val else None,
-                         val_every)
-    return StaticModel(
-        weights=[(best[2 * i], best[2 * i + 1]) for i in range(len(weights))],
-        input_norm=in_norm,
-        output_norm=out_norm,
-        layout=layout,
-        history=history,
-    )
+    model.history = _fit(cfg, rng, model, xn.shape[0], cfg.n_batch * cfg.k_window,
+                         batch_sse_grads, xn.shape[0],
+                         validation_loss if n_train_t < y_all.shape[1] else None, val_every)
+    return model
+
+
+def _stored_arrays(model: LstmModel | StaticModel) -> list[np.ndarray]:
+    """The trainable arrays, then the input and output normalizer statistics."""
+    norms = (model.input_norm, model.output_norm)
+    return _params(model) + [arr for norm in norms for arr in (norm.mean, norm.std)]
 
 
 def _require_finite(model: LstmModel | StaticModel) -> None:
-    if isinstance(model, LstmModel):
-        arrays = [arr for layer in model.layers for arr in (layer.w, layer.b)]
-        arrays += [model.w_out, model.b_out]
-    else:
-        arrays = [arr for pair in model.weights for arr in pair]
-    for norm in (model.input_norm, model.output_norm):
-        arrays += [norm.mean, norm.std]
-    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+    if not all(np.all(np.isfinite(arr)) for arr in _stored_arrays(model)):
         raise ValidationError("model weights contain non-finite values")
 
 
@@ -668,39 +673,18 @@ def hyperparameter_search(
 # ---------------------------------------------------------------------------
 
 def lstm_to_bytes(model: LstmModel) -> bytes:
-    parts = [LSTM_MAGIC]
-    d_in = model.layout.n_features
-    parts.append(
-        struct.pack(
-            "<6I",
-            len(model.layers),
-            model.hidden,
-            model.n_out,
-            d_in,
-            model.layout.n_params,
-            model.layout.n_coef,
-        )
-    )
-    parts.append(struct.pack("<I", int(model.layout.with_time)))
-    for layer in model.layers:
-        parts.append(dump_f64(layer.w))
-        parts.append(dump_f64(layer.b))
-    parts.append(dump_f64(model.w_out))
-    parts.append(dump_f64(model.b_out))
-    parts.append(dump_f64(model.input_norm.mean))
-    parts.append(dump_f64(model.input_norm.std))
-    parts.append(dump_f64(model.output_norm.mean))
-    parts.append(dump_f64(model.output_norm.std))
-    return b"".join(parts)
+    layout = model.layout
+    header = struct.pack("<7I", len(model.layers), model.hidden, model.n_out, layout.n_features,
+                         layout.n_params, layout.n_coef, int(layout.with_time))
+    return b"".join([LSTM_MAGIC, header] + [dump_f64(arr) for arr in _stored_arrays(model)])
 
 
 def lstm_from_bytes(buf) -> LstmModel:
     reader = Reader(buf, "LSTM model")
     if reader.take(8) != LSTM_MAGIC:
         raise FormatError("bad LSTM block magic")
-    n_layers, hidden, n_out, d_in, n_params, n_coef = reader.u32(6)
-    with_time = bool(reader.u32())
-    layout = FeatureLayout(with_time=with_time, n_params=n_params, n_coef=n_coef)
+    n_layers, hidden, n_out, d_in, n_params, n_coef, with_time = reader.u32(7)
+    layout = FeatureLayout(with_time=bool(with_time), n_params=n_params, n_coef=n_coef)
     if layout.n_features != d_in:
         raise FormatError("inconsistent feature layout in LSTM block")
     if hidden < 1:
@@ -715,13 +699,6 @@ def lstm_from_bytes(buf) -> LstmModel:
     in_norm = Normalizer(reader.f64_array((d_in,)), reader.f64_array((d_in,)))
     out_norm = Normalizer(reader.f64_array((n_out,)), reader.f64_array((n_out,)))
     reader.done()
-    model = LstmModel(
-        layers=layers,
-        w_out=w_out,
-        b_out=b_out,
-        input_norm=in_norm,
-        output_norm=out_norm,
-        layout=layout,
-    )
+    model = LstmModel(layers, w_out, b_out, in_norm, out_norm, layout)
     _require_finite(model)
     return model

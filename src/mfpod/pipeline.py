@@ -88,10 +88,10 @@ class SurrogateModel:
     stencil: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lstm.layout.n_coef != self.basis.n_pod:
+        if not self.lstm.layout.n_coef == self.lstm.n_out == self.basis.n_pod:
             raise ValidationError(
-                f"network expects {self.lstm.layout.n_coef} coefficients but the "
-                f"basis retains {self.basis.n_pod} modes"
+                f"network maps {self.lstm.layout.n_coef} to {self.lstm.n_out} coefficients "
+                f"but the basis retains {self.basis.n_pod} modes"
             )
         if self.lift_spec.dst_grid != self.basis.grid:
             raise ValidationError("lift destination grid does not match the basis grid")

@@ -4,6 +4,7 @@ import hashlib
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 
 from mfpod.errors import FormatError, MfpodError, StorageError, ValidationError
 from mfpod.lifting import LiftSpec
-from mfpod.mflstm import FeatureLayout, LstmLayerWeights, LstmModel, Normalizer, predict
+from mfpod.mflstm import (
+    FeatureLayout,
+    LstmLayerWeights,
+    LstmModel,
+    Normalizer,
+    lstm_to_bytes,
+    predict,
+)
 from mfpod.numerics import Grid2D
 from mfpod.pipeline import Provenance, SurrogateModel, load_model, save_model
 from mfpod.pod import CoefficientSeries, PodBasis
@@ -219,6 +227,28 @@ def test_malformed_basis_block_is_format_error(tmp_path, defect):
     path = tmp_path / "model.mfsurr"
     path.write_bytes(with_block(GOOD["surr"], 0, bytes(block)))
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("defect", ["no layers", "narrow readout"])
+def test_forged_network_block_is_format_error(tmp_path, defect):
+    lstm = pinned_model().lstm
+    block = lstm_to_bytes(lstm)
+    if defect == "no layers":
+        # n_layers 1 -> 0 after the magic, and the layer's arrays cut out of
+        # the block, which follow the 7 u32 header fields
+        layer = lstm.layers[0].w.nbytes + lstm.layers[0].b.nbytes
+        block = block[:8] + struct.pack("<I", 0) + block[12:36] + block[36 + layer :]
+        match = "at least one layer"
+    else:
+        # a readout of 1 coefficient for a basis of 2 modes
+        block = lstm_to_bytes(replace(
+            lstm, w_out=lstm.w_out[:1], b_out=lstm.b_out[:1],
+            output_norm=Normalizer(lstm.output_norm.mean[:1], lstm.output_norm.std[:1])))
+        match = "to 1 coefficients"
+    path = tmp_path / "model.mfsurr"
+    path.write_bytes(with_block(GOOD["surr"], 2, block))
+    with pytest.raises(FormatError, match=match):
         load_model(path)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gradcheck import finite_difference_worst_error
+from gradcheck import finite_difference_worst_error, mlp_finite_difference_worst_error
 from mfpod.errors import AlignmentError, ShapeError, TrainingError, ValidationError
 from mfpod.mflstm import (
     FeatureLayout,
@@ -15,6 +16,7 @@ from mfpod.mflstm import (
     Normalizer,
     TrainConfig,
     _mlp_forward,
+    _params,
     hyperparameter_search,
     lstm_from_bytes,
     lstm_to_bytes,
@@ -184,6 +186,18 @@ def test_gradient_check_two_layer_model():
     assert finite_difference_worst_error(model, x, y) < 1e-5
 
 
+@pytest.mark.parametrize("n_hidden", [0, 1, 2])
+def test_gradient_check_static_baseline(n_hidden):
+    rng = np.random.default_rng(40 + n_hidden)
+    dims = [4] + [5] * n_hidden + [3]
+    weights = [(rng.uniform(-0.7, 0.7, size=(d_out, d_in)), rng.uniform(-0.5, 0.5, size=d_out))
+               for d_in, d_out in zip(dims[:-1], dims[1:])]
+    x = rng.standard_normal((6, 4))
+    y = rng.standard_normal((6, 3))
+    scale_sq = rng.uniform(0.5, 2.0, size=3) ** 2
+    assert mlp_finite_difference_worst_error(weights, scale_sq, x, y) < 1e-5
+
+
 def test_readout_is_affine_in_readout_parameters():
     model = make_model(4, 3, 2, seed=9, layout=plain_layout(3))
     seq = np.random.default_rng(10).standard_normal((6, 3))
@@ -300,12 +314,28 @@ def test_divergent_learning_rate_raises_with_epoch():
 def test_validation_holdout_tracks_best_weights():
     lf, hf = series_pair(n_mu=2, n_t=64, n_coef=2, seed=23)
     cfg = TrainConfig(hidden=12, k_window=16, n_batch=8, epochs=60,
-                      learning_rate=5e-3, seed=3)
-    model = train(lf, hf, cfg)
-    val_losses = [v for _, _, v in model.history if np.isfinite(v)]
-    assert len(val_losses) == len(model.history)
-    # final loss below initial (training actually progressed)
-    assert model.history[-1][1] < model.history[0][1]
+                      learning_rate=2e-2, seed=3)
+    for fit in (train, train_static_baseline):
+        model = fit(lf, hf, cfg)
+        val_losses = [v for _, _, v in model.history]
+        assert np.all(np.isfinite(val_losses))
+        # final loss below initial (training actually progressed)
+        assert model.history[-1][1] < model.history[0][1]
+        # the first epoch with the lowest held-out loss, before the last one
+        best = int(np.argmin(val_losses))
+        assert best < cfg.epochs - 1
+        # the same seed stopped after that epoch ends on the restored weights
+        stopped = fit(lf, hf, replace(cfg, epochs=best + 1))
+        for restored, final in zip(_params(model), _params(stopped), strict=True):
+            assert restored.tobytes() == final.tobytes()
+
+
+@pytest.mark.parametrize("fit", [train, train_static_baseline])
+@pytest.mark.parametrize("val_every", [0, -1])
+def test_val_every_below_one_rejected(fit, val_every):
+    lf, hf = series_pair(n_t=32)
+    with pytest.raises(ValidationError, match="val_every"):
+        fit(lf, hf, TrainConfig(hidden=4, k_window=8, epochs=2), val_every=val_every)
 
 
 # ---------------------------------------------------------------------------
