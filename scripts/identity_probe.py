@@ -6,8 +6,11 @@ fidelity), both lift modes and both basis kinds (raw and centred). For each
 combination it hashes the trained MFSURR file, the training history, the
 evaluate CSV and summary, an online prediction, the live and the reloaded
 stencil, the re-saved model, the static baseline's predictions and a seeded
-hyperparameter search; each problem adds its three MFSNAP files. One line per
-artifact, ``sha256  name``, in a fixed order.
+hyperparameter search; each problem adds its three MFSNAP files. Last come
+two ``reconstruct`` products on seeded coefficients at benchmark sizes
+(8192 rows x 9 modes x 801 columns and 4096 x 17 x 401), whose kernels the
+16^2 runs never reach. One line per artifact, ``sha256  name``, in a fixed
+order.
 
 A refactor meant to leave every output unchanged is checked by running the
 probe against two source trees and diffing the lines, e.g. from the root of
@@ -29,7 +32,8 @@ import numpy as np
 
 from mfpod import pipeline
 from mfpod.mflstm import TrainConfig, hyperparameter_search, predict, train_static_baseline
-from mfpod.pod import PodRule
+from mfpod.numerics import Grid2D
+from mfpod.pod import CoefficientSeries, PodBasis, PodRule, reconstruct
 from mfpod.snapshots import ParameterGrid, write_snapshots
 from mfpod.solvers import FidelityProfile, generate_dataset
 
@@ -41,6 +45,8 @@ PROBLEMS = {
 T_TRAIN, T_FINAL = 2.0, 3.0
 CFG = TrainConfig(hidden=8, k_window=8, n_batch=8, epochs=15, learning_rate=3e-3, seed=2)
 SPACE = {"hidden": [4, 8], "learning_rate": [1e-3, 3e-3]}
+# (fields, grid n, modes, columns) of the benchmark-size reconstructions
+PRODUCTS = [(2, 64, 9, 801), (1, 64, 17, 401)]
 
 
 def digest(value) -> str:
@@ -92,6 +98,15 @@ def artifacts(work: Path):
                 yield f"{tag}/static.predict", predict(static, data.coef_lf).coeffs
                 best = hyperparameter_search(SPACE, 3, data.coef_lf, data.coef_hf, CFG, seed=1)
                 yield f"{tag}/search", repr(best)
+
+    rng = np.random.default_rng(0)
+    for n_fields, n, n_pod, n_cols in PRODUCTS:
+        basis = PodBasis(modes=np.asfortranarray(rng.standard_normal((n_fields * n * n, n_pod))),
+                         sigma=np.ones(n_pod), eps_pod=None, snapshot_mean=None,
+                         grid=Grid2D(n, 20.0), field_names=tuple("uv"[:n_fields]))
+        series = CoefficientSeries(rng.standard_normal((n_pod, n_cols)),
+                                   np.arange(n_cols, dtype=float), np.array([[1.0]]))
+        yield f"reconstruct/{basis.n_dof}x{n_pod}x{n_cols}", reconstruct(basis, series).data
 
 
 def main() -> None:

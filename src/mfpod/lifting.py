@@ -14,7 +14,11 @@ therefore does not affect the result and is chosen to keep peak memory low.
 pre-contracting the basis with the spatial stencil, so the lifted fields are
 never materialized. It is exactly the linear-algebra rearrangement
 basis^T (P X Q^T) = ((P^T basis)^T X) Q^T and is used on the hot online
-path; plain ``lift`` is the reference implementation.
+path; plain ``lift`` is the reference implementation. ``_lift_blocks`` yields
+the columns of ``lift`` block by block, bit for bit, each lifted from only
+the source columns it reads; ``evaluate`` scores the lifted input with it.
+Both share the stencil (``_flat_gather``) and the time rule
+(``numerics.interp_weights``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .numerics import Grid2D, bilinear_weight_map, interp_time, nearest_index_map
+from .numerics import Grid2D, bilinear_weight_map, interp_time, interp_weights, nearest_index_map
 from .pod import CoefficientSeries, PodBasis
 from .snapshots import SnapshotSet
 
@@ -98,22 +102,30 @@ def _validate_input(snaps: SnapshotSet, spec: LiftSpec) -> int:
     return n_fields
 
 
-def lift(snaps: SnapshotSet, spec: LiftSpec) -> SnapshotSet:
-    """Lift a snapshot set onto the target grid and times."""
-    n_fields = _validate_input(snaps, spec)
+def _spatial(rows: np.ndarray, n_fields: int, spec: LiftSpec, gather) -> np.ndarray:
+    """Spatial lift of ``rows``, one source column per row, one lifted column per row.
+
+    ``rows`` is a slice of the (column, dof) transpose, whose rows are
+    contiguous for column-major snapshots; np.take keeps its output
+    row-major, which fancy indexing along the last axis does not.
+    """
     ns2 = spec.src_grid.n**2
     nd2 = spec.dst_grid.n**2
-    idx, w = _flat_gather(spec)
-    # work on the (column, dof) transposes, whose rows are contiguous for
-    # column-major snapshots; np.take keeps its output row-major, which
-    # fancy indexing along the last axis does not
-    spatial = np.empty((snaps.data.shape[1], n_fields * nd2))
+    idx, w = gather
+    out = np.empty((rows.shape[0], n_fields * nd2))
     for f in range(n_fields):
-        src = snaps.data.T[:, f * ns2 : (f + 1) * ns2]
-        dst = spatial[:, f * nd2 : (f + 1) * nd2]
+        src = rows[:, f * ns2 : (f + 1) * ns2]
+        dst = out[:, f * nd2 : (f + 1) * nd2]
         np.multiply(np.take(src, idx[0], axis=1), w[0], out=dst)
         for ik, wk in zip(idx[1:], w[1:]):
             dst += np.take(src, ik, axis=1) * wk
+    return out
+
+
+def lift(snaps: SnapshotSet, spec: LiftSpec) -> SnapshotSet:
+    """Lift a snapshot set onto the target grid and times."""
+    n_fields = _validate_input(snaps, spec)
+    spatial = _spatial(snaps.data.T, n_fields, spec, _flat_gather(spec))
     return SnapshotSet(
         fidelity=snaps.fidelity,
         data=_interp_blocks(spatial.T, snaps, spec.dst_times),
@@ -122,6 +134,34 @@ def lift(snaps: SnapshotSet, spec: LiftSpec) -> SnapshotSet:
         params=snaps.params,
         field_names=snaps.field_names,
     )
+
+
+def _lift_blocks(snaps: SnapshotSet, spec: LiftSpec, width: int):
+    """Yield ``(start, block)`` with ``block`` equal, bit for bit, to columns
+    ``start:start + width`` of ``lift(snaps, spec).data``, stopping at the end
+    of each parameter's trajectory.
+
+    Each column-major block is lifted from only the source columns it reads,
+    so no full-size lifted set is formed.
+    """
+    n_fields = _validate_input(snaps, spec)
+    gather = _flat_gather(spec)
+    n_src, n_dst = snaps.n_t, spec.dst_times.size
+    same_times = np.array_equal(snaps.times, spec.dst_times)
+    if not same_times:
+        seg, w = interp_weights(snaps.times, spec.dst_times)
+    for i in range(snaps.n_mu):
+        rows = snaps.data.T[i * n_src : (i + 1) * n_src]
+        for start in range(0, n_dst, width):
+            stop = min(start + width, n_dst)
+            if same_times:
+                block = _spatial(rows[start:stop], n_fields, spec, gather)
+            else:
+                lo = seg[start]
+                src = _spatial(rows[lo : seg[stop - 1] + 2], n_fields, spec, gather)
+                s, ws = seg[start:stop] - lo, w[start:stop, None]
+                block = (1.0 - ws) * src[s] + ws * src[s + 1]
+            yield i * n_dst + start, block.T
 
 
 def reduced_stencil(basis: PodBasis, spec: LiftSpec) -> np.ndarray:

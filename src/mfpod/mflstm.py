@@ -680,6 +680,7 @@ def lstm_to_bytes(model: LstmModel) -> bytes:
 
 
 def lstm_from_bytes(buf) -> LstmModel:
+    """Decode an MFLSTM01 block; a value its type rejects is a forged block, a ``FormatError``."""
     reader = Reader(buf, "LSTM model")
     if reader.take(8) != LSTM_MAGIC:
         raise FormatError("bad LSTM block magic")
@@ -696,9 +697,12 @@ def lstm_from_bytes(buf) -> LstmModel:
         layers.append(LstmLayerWeights(w, reader.f64_array(4 * hidden)))
     w_out = reader.f64_array((n_out, hidden))
     b_out = reader.f64_array((n_out,))
-    in_norm = Normalizer(reader.f64_array((d_in,)), reader.f64_array((d_in,)))
-    out_norm = Normalizer(reader.f64_array((n_out,)), reader.f64_array((n_out,)))
+    stats = [reader.f64_array((size,)) for size in (d_in, d_in, n_out, n_out)]
     reader.done()
-    model = LstmModel(layers, w_out, b_out, in_norm, out_norm, layout)
-    _require_finite(model)
+    try:
+        model = LstmModel(layers, w_out, b_out, Normalizer(*stats[:2]), Normalizer(*stats[2:]),
+                          layout)
+        _require_finite(model)
+    except ValidationError as exc:
+        raise FormatError(f"LSTM block: {exc}") from exc
     return model

@@ -131,10 +131,21 @@ def interp_time(
         )
     if np.any(np.diff(t_src) <= 0):
         raise ValidationError("source times must be strictly increasing")
-    if t_src.size == 1:
-        if not np.array_equal(t_dst, t_src):
-            raise ExtrapolationError("single-sample series supports only its own time")
+    if t_src.size == 1 and np.array_equal(t_dst, t_src):
         return values.copy()
+    seg, w = interp_weights(t_src, t_dst)
+    return (1.0 - w) * values[..., seg] + w * values[..., seg + 1]
+
+
+def interp_weights(t_src: np.ndarray, t_dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment ``seg`` and upper weight ``w`` of each query time.
+
+    The sample at ``t_dst[j]`` is ``(1 - w[j]) * v[seg[j]] + w[j] * v[seg[j] + 1]``
+    for samples ``v`` at the strictly increasing ``t_src``. Queries outside
+    the source span raise.
+    """
+    if t_src.size == 1:
+        raise ExtrapolationError("single-sample series supports only its own time")
     span = t_src[-1] - t_src[0]
     tol = 1e-9 * span
     if t_dst.size and (t_dst.min() < t_src[0] - tol or t_dst.max() > t_src[-1] + tol):
@@ -145,4 +156,4 @@ def interp_time(
     t_q = np.clip(t_dst, t_src[0], t_src[-1])
     seg = np.clip(np.searchsorted(t_src, t_q, side="right") - 1, 0, t_src.size - 2)
     w = (t_q - t_src[seg]) / (t_src[seg + 1] - t_src[seg])
-    return (1.0 - w) * values[..., seg] + w * values[..., seg + 1]
+    return seg, w

@@ -22,6 +22,10 @@ flips modes, and with them the targets the network is trained on.
 Mean subtraction before the SVD is off by default; ``PodRule.center``
 enables it, in which case the mean is stored on the basis and re-added on
 reconstruction.
+
+``reconstruct`` forms modes @ coeffs directly in column-major storage, the
+layout of a snapshot set, as one GEMM on the transposed operands; its bits
+may differ from the row-major product ``modes @ coeffs`` in the last place.
 """
 
 from __future__ import annotations
@@ -212,24 +216,31 @@ def project(basis: PodBasis, snaps: SnapshotSet) -> CoefficientSeries:
     )
 
 
-def reconstruct(basis: PodBasis, series: CoefficientSeries) -> SnapshotSet:
-    """Full fields from reduced coefficients: modes @ coeffs (+ mean)."""
+def _full_fields(basis: PodBasis, series: CoefficientSeries, out: np.ndarray) -> np.ndarray:
+    """Write modes @ coeffs (+ mean) into the column-major ``out`` and return it.
+
+    With a column-major ``out`` matmul runs one GEMM on the transposed
+    operands, so the product is formed where it is stored, with no row-major
+    copy. Its bits are those of (coeffs^T @ modes^T)^T, which may differ from
+    modes @ coeffs in the last place.
+    """
     coeffs = require_matrix(series.coeffs, "coefficients")
     if coeffs.shape[0] != basis.n_pod:
         raise ShapeError(
             f"coefficient rows ({coeffs.shape[0]}) do not match basis n_pod ({basis.n_pod})"
         )
-    product = basis.modes @ coeffs
+    np.matmul(basis.modes, coeffs, out=out)
     if basis.snapshot_mean is not None:
-        product += basis.snapshot_mean[:, None]
-    # the product comes back row-major and a SnapshotSet is column-major; a
-    # copy in row blocks stays in cache, where a whole-array one does not
-    data = np.empty(product.shape, order="F")
-    for start in range(0, product.shape[0], 256):
-        data[start : start + 256] = product[start : start + 256]
+        out += basis.snapshot_mean[:, None]
+    return out
+
+
+def reconstruct(basis: PodBasis, series: CoefficientSeries) -> SnapshotSet:
+    """Full fields from reduced coefficients: modes @ coeffs (+ mean), column-major."""
+    out = np.empty((basis.n_dof, series.coeffs.shape[1]), order="F")
     return SnapshotSet(
         fidelity="HF",
-        data=data,
+        data=_full_fields(basis, series, out),
         grid=basis.grid,
         times=series.times,
         params=series.params,

@@ -379,6 +379,16 @@ def test_evaluate_coverage_failure_exits_4(workspace, tmp_path):
     assert code == 4
 
 
+def test_evaluate_negative_timing_reps_exits_2(workspace, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = main(["evaluate", "--model", str(workspace / "model.mfsurr"),
+                 "--reference", str(workspace / "ref.mfsnap"),
+                 "--out", str(out), "--timing-reps", "-1"])
+    assert code == 2
+    assert "timing_reps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_deterministic_csv(workspace, tmp_path):
     outs = []
     for name in ("r1.csv", "r2.csv"):

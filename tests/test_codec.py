@@ -19,6 +19,7 @@ from mfpod.mflstm import (
     LstmLayerWeights,
     LstmModel,
     Normalizer,
+    lstm_from_bytes,
     lstm_to_bytes,
     predict,
 )
@@ -230,26 +231,47 @@ def test_malformed_basis_block_is_format_error(tmp_path, defect):
         load_model(path)
 
 
-@pytest.mark.parametrize("defect", ["no layers", "narrow readout"])
-def test_forged_network_block_is_format_error(tmp_path, defect):
+def forged_network_block(defect: str) -> tuple[bytes, str]:
+    """An MFLSTM01 block of the pinned model with one forged value, and the
+    message its rejection carries."""
     lstm = pinned_model().lstm
     block = lstm_to_bytes(lstm)
     if defect == "no layers":
         # n_layers 1 -> 0 after the magic, and the layer's arrays cut out of
         # the block, which follow the 7 u32 header fields
         layer = lstm.layers[0].w.nbytes + lstm.layers[0].b.nbytes
-        block = block[:8] + struct.pack("<I", 0) + block[12:36] + block[36 + layer :]
-        match = "at least one layer"
-    else:
+        return block[:8] + struct.pack("<I", 0) + block[12:36] + block[36 + layer :], \
+            "at least one layer"
+    if defect == "narrow readout":
         # a readout of 1 coefficient for a basis of 2 modes
-        block = lstm_to_bytes(replace(
+        return lstm_to_bytes(replace(
             lstm, w_out=lstm.w_out[:1], b_out=lstm.b_out[:1],
-            output_norm=Normalizer(lstm.output_norm.mean[:1], lstm.output_norm.std[:1])))
-        match = "to 1 coefficients"
+            output_norm=Normalizer(lstm.output_norm.mean[:1], lstm.output_norm.std[:1]))), \
+            "to 1 coefficients"
+    if defect == "non-finite weight":
+        # the first entry of the first layer's weights, after the 7 u32 header fields
+        return block[:36] + struct.pack("<d", np.nan) + block[44:], "non-finite"
+    # the last stored value, the output normalizer's last scale
+    return block[:-8] + struct.pack("<d", np.inf), "must be finite"
+
+
+@pytest.mark.parametrize(
+    "defect", ["no layers", "narrow readout", "non-finite weight", "non-finite statistic"])
+def test_forged_network_block_is_format_error(tmp_path, defect):
+    block, match = forged_network_block(defect)
     path = tmp_path / "model.mfsurr"
     path.write_bytes(with_block(GOOD["surr"], 2, block))
     with pytest.raises(FormatError, match=match):
         load_model(path)
+
+
+@pytest.mark.parametrize("defect", ["no layers", "non-finite weight", "non-finite statistic"])
+def test_lstm_from_bytes_rejects_forged_value_with_format_error(defect):
+    # the block reader itself maps a value its type rejects to FormatError,
+    # not only load_model
+    block, match = forged_network_block(defect)
+    with pytest.raises(FormatError, match=match):
+        lstm_from_bytes(block)
 
 
 @pytest.mark.parametrize("profile", ["hf", "lf"])

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from interp_oracle import interp_space
 from mfpod.errors import ExtrapolationError, ShapeError, ValidationError
-from mfpod.lifting import LiftSpec, lift, lift_project
+from mfpod.lifting import LiftSpec, _lift_blocks, lift, lift_project
 from mfpod.numerics import Grid2D, interp_time
 from mfpod.pod import PodRule, build_basis
 from mfpod.snapshots import SnapshotSet
@@ -179,3 +179,31 @@ def test_whole_set_equals_single_parameter_calls(mode, interp, center):
     whole = lift_project(lf, spec, basis).coeffs
     assert np.array_equal(
         whole, np.hstack([lift_project(one, spec, basis).coeffs for one in singles]))
+
+
+@pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+@pytest.mark.parametrize("interp", [False, True], ids=["same-times", "interp-times"])
+@pytest.mark.parametrize("width", [1, 3, 8, 64])
+def test_lift_blocks_equal_lift_columns_bitwise(mode, interp, width):
+    # every block, gathered from only the source columns it reads, is a slice
+    # of the whole lift; blocks stop at each parameter's last time
+    lf = make_set(8, 2.0, [0.0, 0.4, 1.0, 1.5, 2.0], [1.0, 2.0], n_fields=2, seed=11)
+    dst_times = np.linspace(0, 2, 17) if interp else lf.times
+    spec = LiftSpec(mode, lf.grid, Grid2D(16, 2.0), dst_times)
+    whole = lift(lf, spec).data
+    starts = []
+    for start, block in _lift_blocks(lf, spec, width):
+        assert block.flags.f_contiguous
+        assert block.shape[1] <= width
+        assert start // dst_times.size == (start + block.shape[1] - 1) // dst_times.size
+        assert block.tobytes(order="F") == whole[:, start : start + block.shape[1]].tobytes(order="F")
+        starts.append(start)
+    expected = [i * dst_times.size + s for i in range(2) for s in range(0, dst_times.size, width)]
+    assert starts == expected
+
+
+def test_lift_blocks_reject_extrapolation():
+    snaps = make_set(8, 2.0, [0.0, 1.0], [1.0])
+    spec = LiftSpec("bilinear", snaps.grid, snaps.grid, np.array([0.0, 1.5]))
+    with pytest.raises(ExtrapolationError):
+        next(_lift_blocks(snaps, spec, 4))

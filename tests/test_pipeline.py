@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,7 +18,7 @@ from mfpod.mflstm import TrainConfig
 from mfpod.pipeline import (
     Provenance,
     SurrogateModel,
-    _column_errors,
+    _ERROR_BLOCK,
     evaluate,
     load_model,
     offline_train,
@@ -226,26 +227,45 @@ def test_evaluate_matches_brute_force_column_metric(tiny_sets, tiny_model):
     )
 
 
-def test_evaluate_columns_equal_single_parameter_recomputation(tiny_sets, tiny_model):
-    # evaluate solves LF once for all parameters; every column must still be
-    # the bits of the single-parameter online path and its lifted LF input
-    hf, _ = tiny_sets
-    report = evaluate(tiny_model, GRID.values, 4.0, hf, timing_reps=0)
-    for i, mu in enumerate(GRID.values):
-        detail = online_predict_detailed(tiny_model, float(mu), 4.0)
-        spec = replace(tiny_model.lift_spec, dst_times=detail.prediction.times)
-        ref = hf.trajectory(i)
+@functools.cache
+def block_case_model(mode: str, lf_dt: float, center: bool) -> SurrogateModel:
+    """A small rd model per lift mode, LF step and basis kind."""
+    hf_prof = FidelityProfile("HF", 16, 0.05, 0.05)
+    lf_prof = FidelityProfile("LF", 8, lf_dt, 0.1)
+    hf = generate_dataset("rd", hf_prof, GRID, 2.0)
+    lf = generate_dataset("rd", lf_prof, GRID, 2.0)
+    cfg = TrainConfig(hidden=8, k_window=10, n_batch=8, epochs=5, seed=3)
+    return offline_train(hf, lf, PodRule(n_modes=4, center=center), cfg, spatial_mode=mode,
+                         problem="rd", hf_profile=hf_prof, lf_profile=lf_prof)
+
+
+@pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+@pytest.mark.parametrize("lf_dt", [0.05, 0.1], ids=["equal-step", "coarser-step"])
+@pytest.mark.parametrize("center", [False, True], ids=["raw", "centred"])
+@pytest.mark.parametrize("n_t", [4 * _ERROR_BLOCK + 1, _ERROR_BLOCK // 2 + 1],
+                         ids=["one-past-whole-blocks", "below-one-block"])
+def test_evaluate_columns_equal_single_parameter_recomputation(mode, lf_dt, center, n_t):
+    # evaluate solves LF once for all parameters and streams its errors through
+    # column blocks; every column must still be the bits of a whole-array
+    # recomputation from the single-parameter online path and its lifted LF input
+    model = block_case_model(mode, lf_dt, center)
+    T = (n_t - 1) * model.provenance.hf_profile.dt
+    mus = GRID.midpoints(2)
+    reference = generate_dataset("rd", model.provenance.hf_profile, mus, T)
+    report = evaluate(model, mus[::-1], T, reference, timing_reps=0)
+    assert report.mus.size == 2 * n_t
+    for i, mu in enumerate(mus[::-1]):
+        detail = online_predict_detailed(model, float(mu), T)
+        spec = replace(model.lift_spec, dst_times=detail.prediction.times)
+        ref = reference.trajectory(1 - i)
         ref_norm = np.linalg.norm(ref, axis=0)
-        lifted = lift(detail.lf_snapshots, spec)
-        block = slice(i * hf.n_t, (i + 1) * hf.n_t)
-        assert np.array_equal(report.col_err_mf_percent[block],
-                              100.0 * _column_errors(ref, detail.prediction.data, ref_norm))
-        assert np.array_equal(report.col_err_lf_percent[block],
-                              100.0 * _column_errors(ref, lifted.data, ref_norm))
-        # the in-place squares sum as np.linalg.norm does, bit for bit
-        diff_norm = np.linalg.norm(ref - detail.prediction.data, axis=0)
-        assert np.array_equal(_column_errors(ref, detail.prediction.data, ref_norm),
-                              diff_norm / ref_norm)
+        assert np.all(ref_norm > 0)
+        lifted = lift(detail.lf_snapshots, spec).data
+        block = slice(i * n_t, (i + 1) * n_t)
+        expected_mf = 100.0 * (np.linalg.norm(ref - detail.prediction.data, axis=0) / ref_norm)
+        expected_lf = 100.0 * (np.linalg.norm(ref - lifted, axis=0) / ref_norm)
+        assert report.col_err_mf_percent[block].tobytes() == expected_mf.tobytes()
+        assert report.col_err_lf_percent[block].tobytes() == expected_lf.tobytes()
 
 
 def test_evaluate_warns_out_of_range(tiny_model):
@@ -278,6 +298,13 @@ def test_evaluate_timing_block(tiny_model, tiny_sets):
     assert report.time_lf > 0 and report.time_mf > 0 and report.time_hf > 0
     summary = report.summary()
     assert "% of HF" in summary
+
+
+@pytest.mark.parametrize("reps", [-1, -3])
+def test_evaluate_rejects_negative_timing_reps(tiny_sets, tiny_model, reps):
+    hf, _ = tiny_sets
+    with pytest.raises(ValidationError, match="timing_reps"):
+        evaluate(tiny_model, GRID.values[:1], 4.0, hf, timing_reps=reps)
 
 
 def test_report_csv_and_per_parameter(tiny_sets, tiny_model, tmp_path):

@@ -136,18 +136,19 @@ def test_reconstruct_zero_and_unit_coefficients():
 
 @pytest.mark.parametrize("center", [False, True], ids=["uncentred", "centred"])
 def test_reconstruct_is_the_column_major_product_bitwise(center):
-    # 600 rows: two whole row blocks of the column-major copy and a partial one
+    # the product is formed straight into column-major storage: the bits of
+    # (coeffs^T @ modes^T)^T, which may differ from modes @ coeffs in the last place
     rng = np.random.default_rng(12)
     basis = build_basis(as_set(rng.standard_normal((600, 40)) + 3.0),
                         PodRule(n_modes=7, center=center))
     series = CoefficientSeries(rng.standard_normal((7, 40)), np.linspace(0, 1, 40),
                                np.array([[1.0]]))
     out = reconstruct(basis, series)
-    expected = basis.modes @ series.coeffs
+    expected = (series.coeffs.T @ basis.modes.T).T
     if center:
         expected = expected + basis.snapshot_mean[:, None]
     assert out.data.flags.f_contiguous
-    assert out.data.tobytes() == np.asfortranarray(expected).tobytes()
+    assert out.data.tobytes(order="F") == np.asfortranarray(expected).tobytes(order="F")
 
 
 def test_reconstruct_rejects_coefficient_mismatch():
