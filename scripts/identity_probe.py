@@ -8,9 +8,11 @@ evaluate CSV and summary, an online prediction, the live and the reloaded
 stencil, the re-saved model, the static baseline's predictions and a seeded
 hyperparameter search; each problem adds its three MFSNAP files. Last come
 two ``reconstruct`` products on seeded coefficients at benchmark sizes
-(8192 rows x 9 modes x 801 columns and 4096 x 17 x 401), whose kernels the
-16^2 runs never reach. One line per artifact, ``sha256  name``, in a fixed
-order.
+(8192 rows x 9 modes x 801 columns and 4096 x 17 x 401), then the basis
+build's blocked Gram product and its panel product X @ V with 9 columns, on
+seeded 8192 x 603 and 8192 x 1203 snapshot matrices; the 16^2 runs never
+reach these kernels at such sizes. One line per artifact, ``sha256  name``,
+in a fixed order.
 
 A refactor meant to leave every output unchanged is checked by running the
 probe against two source trees and diffing the lines, e.g. from the root of
@@ -21,7 +23,8 @@ the repository with the other tree checked out in ../parent:
          <(PYTHONPATH=src python scripts/identity_probe.py)
 
 Only API that has been stable across those refactors is used, so the probe
-runs against older trees too.
+runs against older trees too; a tree without the blocked Gram kernels
+(``pod._gram``) prints no Gram or panel lines.
 """
 
 import hashlib
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mfpod import pipeline
+from mfpod import pipeline, pod
 from mfpod.mflstm import TrainConfig, hyperparameter_search, predict, train_static_baseline
 from mfpod.numerics import Grid2D
 from mfpod.pod import CoefficientSeries, PodBasis, PodRule, reconstruct
@@ -47,6 +50,9 @@ CFG = TrainConfig(hidden=8, k_window=8, n_batch=8, epochs=15, learning_rate=3e-3
 SPACE = {"hidden": [4, 8], "learning_rate": [1e-3, 3e-3]}
 # (fields, grid n, modes, columns) of the benchmark-size reconstructions
 PRODUCTS = [(2, 64, 9, 801), (1, 64, 17, 401)]
+# (rows, columns) of the benchmark-size snapshot matrices, and their retained modes
+SNAPSHOT_SHAPES = [(8192, 603), (8192, 1203)]
+GRAM_MODES = 9
 
 
 def digest(value) -> str:
@@ -107,6 +113,13 @@ def artifacts(work: Path):
         series = CoefficientSeries(rng.standard_normal((n_pod, n_cols)),
                                    np.arange(n_cols, dtype=float), np.array([[1.0]]))
         yield f"reconstruct/{basis.n_dof}x{n_pod}x{n_cols}", reconstruct(basis, series).data
+
+    if hasattr(pod, "_gram"):
+        for m, n in SNAPSHOT_SHAPES:
+            x = np.asfortranarray(rng.standard_normal((m, n)))
+            yield f"gram/{m}x{n}", pod._gram(x)
+            right = rng.standard_normal((n, GRAM_MODES))
+            yield f"panel/{m}x{n}x{GRAM_MODES}", pod._panel_product(x, right)
 
 
 def main() -> None:

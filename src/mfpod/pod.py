@@ -6,13 +6,24 @@ tolerance ``tol``: the retained count is the minimum N such that
 
     sum_{i<=N} sigma_i^2 / sum_i sigma_i^2  >=  1 - tol^2.
 
-Snapshot matrices with more than ``_GRAM_THRESHOLD`` (1024) columns and at
-least as many rows go through the eigendecomposition of the small Gram
-matrix X^T X, forming only the retained left vectors; every other set,
-tall-thin ones of up to 1024 columns included, takes a direct thin SVD.
-So the 1203-column rd-offline benchmark set takes the Gram route and the
-603-column sets of the other two benchmark workloads the SVD. Both routes
-agree to LAPACK accuracy and are cross-checked in the test suite.
+Tall snapshot sets (n <= m) go through the method of snapshots: the
+eigendecomposition of the small Gram matrix X^T X, forming only the retained
+left vectors. Its rank cut resolves sigma only down to
+sqrt(max(m, n) * eps) * sigma_0, the thin SVD's down to max(m, n) * eps *
+sigma_0, so wide sets and tall sets whose rule retains a mode below the Gram
+rank cut take the thin SVD. Both routes agree to LAPACK accuracy and are
+cross-checked in the test suite.
+
+The Gram matrix is summed in fixed blocks of ``_BLOCK`` columns of its upper
+triangle, X[:, :j+b]^T X[:, j:j+b], and mirrored, so it is exactly
+symmetric; the left vectors X @ V are summed over fixed panels of ``_BLOCK``
+columns of X. Under OpenBLAS both block products gave the same bits under 1
+and 2 threads at 512x123, 4096x603, 8192x603, 8192x1203 and 20000x1203, which
+``scripts/identity_probe.py`` checks at benchmark size. They did not at
+1300x1100 or 1500x1100, and neither did whole-matrix syrk or gemm Gram
+products at any shape tried. ``eigh`` at 603 and 1203 columns and the thin
+SVD at 8192x603 and 8192x1203 are not thread-invariant either, so a basis of
+benchmark size may still differ in the last bits between thread counts.
 
 Each retained mode is flipped so that its largest-magnitude entry is
 positive (the ``svd_flip`` convention), on both routes. Singular vectors are
@@ -38,10 +49,10 @@ from .errors import ShapeError, ValidationError
 from .numerics import Grid2D, require_matrix, thin_svd
 from .snapshots import SnapshotSet
 
-# Column count up to which the thin SVD is taken; not a speed crossover, as the
-# Gram route is faster at every benchmark shape. The SVD resolves sigma down to
-# max(m, n) * eps * sigma_0, the Gram rank cut only to sqrt(max(m, n) * eps) * sigma_0.
-_GRAM_THRESHOLD = 1024
+# Column width of the Gram blocks and X @ V panels. Wider blocks are faster at
+# 1203 columns, but 320 and 448 gave thread-dependent bits at 8192x1203 and 384
+# at 8192x603; 64 and 96 did not at any shape tried.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,44 @@ def _orthonormalize(u: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """X^T X from blocks of its upper triangle, mirrored: exactly symmetric."""
+    n = x.shape[1]
+    gram = np.empty((n, n))
+    for j in range(0, n, _BLOCK):
+        k = min(j + _BLOCK, n)
+        gram[:k, j:k] = x[:, :k].T @ x[:, j:k]
+    return np.triu(gram) + np.triu(gram, 1).T
+
+
+def _panel_product(x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """X @ right summed over column panels of X, in a fixed order."""
+    out = x[:, :_BLOCK] @ right[:_BLOCK]
+    for j in range(_BLOCK, x.shape[1], _BLOCK):
+        out += x[:, j:j + _BLOCK] @ right[j:j + _BLOCK]
+    return out
+
+
+def _gram_modes(x: np.ndarray, rule: PodRule) -> tuple[np.ndarray, np.ndarray] | None:
+    """Retained left vectors and sigma from the eigenpairs of X^T X.
+
+    None when the rule retains a mode below the Gram rank cut, which only the
+    thin SVD resolves.
+    """
+    m, n = x.shape
+    eigvals, eigvecs = np.linalg.eigh(_gram(x))
+    lam = eigvals[::-1]
+    sigma = np.sqrt(np.clip(lam, 0.0, None))
+    n_pod = _resolve_count(sigma, n, rule)  # the count the rule asks for
+    if n_pod > _numerical_rank(lam, m, n):
+        return None
+    modes = _panel_product(x, eigvecs[:, ::-1][:, :n_pod])
+    modes /= sigma[:n_pod]
+    if np.abs(modes.T @ modes - np.eye(n_pod)).max() > 1e-12:
+        modes = _orthonormalize(modes)
+    return modes, sigma
+
+
 def _fix_signs(modes: np.ndarray) -> None:
     """Flip each column in place so that its largest-magnitude entry is positive."""
     peak = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
@@ -162,26 +211,12 @@ def build_basis(snaps: SnapshotSet, rule: PodRule) -> PodBasis:
         x = x - mean[:, None]
 
     m, n = x.shape
-    use_gram = n <= m and n > _GRAM_THRESHOLD
-    if use_gram:
-        # Sigma first to settle the count, then only the retained left block.
-        gram = x.T @ x
-        gram = 0.5 * (gram + gram.T)
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals)[::-1]
-        lam = eigvals[order]
-        sigma = np.sqrt(np.clip(lam, 0.0, None))
-        n_pod = _resolve_count(sigma, _numerical_rank(lam, m, n), rule)
-        right = eigvecs[:, order[:n_pod]]
-        safe = np.maximum(sigma[:n_pod], np.finfo(np.float64).tiny)
-        modes = (x @ right) / safe
-        gram_err = np.abs(modes.T @ modes - np.eye(n_pod)).max()
-        if gram_err > 1e-12:
-            modes = _orthonormalize(modes)
-    else:
+    found = _gram_modes(x, rule) if n <= m else None
+    if found is None:
         u, sigma, _ = thin_svd(x)
-        n_pod = _resolve_count(sigma, _numerical_rank(sigma, m, n), rule)
-        modes = u[:, :n_pod]
+        modes = u[:, :_resolve_count(sigma, _numerical_rank(sigma, m, n), rule)]
+    else:
+        modes, sigma = found
     _fix_signs(modes)
 
     return PodBasis(

@@ -16,7 +16,8 @@ from mfpod.pod import (
     project,
     reconstruct,
 )
-from mfpod.snapshots import SnapshotSet
+from mfpod.snapshots import ParameterGrid, SnapshotSet
+from mfpod.solvers import FidelityProfile, generate_dataset
 
 
 def as_set(matrix: np.ndarray, n_mu: int = 1) -> SnapshotSet:
@@ -60,10 +61,10 @@ def test_fixed_rule_keeps_requested_count():
     assert replace(basis, modes=basis.modes[:, :2]).n_pod == 2
 
 
-@pytest.mark.parametrize("shape", [(30, 10), (2048, 1100)], ids=["svd", "gram"])
+@pytest.mark.parametrize("shape", [(30, 10), (2048, 1100)], ids=["30x10", "2048x1100"])
 def test_fixed_rule_clamps_to_rank(shape):
-    # 1100 columns take the Gram route, whose sqrt-eigenvalue noise floor
-    # lies far above the SVD rank cutoff
+    # both sets start on the Gram route, whose sqrt-eigenvalue noise floor lies
+    # far above the SVD rank cutoff; 8 modes exceed its rank, so the SVD decides
     rng = np.random.default_rng(1)
     low_rank = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
     basis = build_basis(as_set(low_rank), PodRule(n_modes=8))
@@ -201,10 +202,11 @@ def test_energy_criterion_and_minimality(m, n, tol, seed):
         assert captured < 1.0 - tol**2
 
 
-def test_gram_route_matches_direct_svd():
-    # wide-enough column count to trigger the Gram-matrix path
+@pytest.mark.parametrize("shape", [(1500, 1100), (4096, 603)], ids=["1100-columns", "603-columns"])
+def test_gram_route_matches_direct_svd(shape):
+    # tall sets whose retained modes lie above the Gram rank cut take the Gram route
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((1500, 1100))
+    x = rng.standard_normal(shape)
     basis = build_basis(as_set(x, n_mu=1), PodRule(n_modes=5))
     u, s, _ = np.linalg.svd(x, full_matrices=False)
     assert_allclose(basis.sigma, s, rtol=1e-9, atol=1e-9 * s[0])
@@ -213,6 +215,39 @@ def test_gram_route_matches_direct_svd():
         dot = abs(float(basis.modes[:, k] @ u[:, k]))
         assert dot == pytest.approx(1.0, abs=1e-9)
     assert np.abs(basis.modes.T @ basis.modes - np.eye(5)).max() < 1e-10
+
+
+def assert_matches_svd(basis, x: np.ndarray, n_pod: int):
+    """n_pod modes, each on the span of the thin SVD's leading n_pod left vectors."""
+    assert basis.n_pod == n_pod
+    u = np.linalg.svd(x, full_matrices=False)[0][:, :n_pod]
+    off = np.linalg.norm(basis.modes - u @ (u.T @ basis.modes), axis=0)
+    assert off.max() < 1e-8
+
+
+@pytest.fixture(scope="module")
+def half_decade_spectrum():
+    # sigma_i = 10^(-i/2) on a 2048 x 1100 set: the Gram rank cut,
+    # sqrt(2048 eps) sigma_0 = 6.7e-7 sigma_0, resolves only the first 13 modes
+    rng = np.random.default_rng(13)
+    u, _ = np.linalg.qr(rng.standard_normal((2048, 1100)))
+    v, _ = np.linalg.qr(rng.standard_normal((1100, 1100)))
+    return (u * 10.0 ** (-np.arange(1100) / 2)) @ v.T
+
+
+# 14 is the count the thin SVD's spectrum gives for tol 1e-7
+@pytest.mark.parametrize("rule, n_pod", [(PodRule(tol=1e-7), 14), (PodRule(n_modes=16), 16)],
+                         ids=["tol", "n_modes"])
+def test_modes_below_the_gram_rank_cut_come_from_the_svd(half_decade_spectrum, rule, n_pod):
+    x = half_decade_spectrum
+    assert_matches_svd(build_basis(as_set(x), rule), x, n_pod)
+
+
+def test_seventeen_vorticity_modes_below_the_gram_rank_cut():
+    # sw at 16^2, mu in [1, 5] x 5, t_train 2: the 17th singular value,
+    # 1.5e-7 sigma_0, lies below the Gram rank cut of this 256 x 105 set, 2.4e-7
+    hf = generate_dataset("sw", FidelityProfile("HF", 16, 0.1), ParameterGrid(1.0, 5.0, 5), 2.0)
+    assert_matches_svd(build_basis(hf, PodRule(n_modes=17)), hf.data, 17)
 
 
 def test_mean_centering_round_trip():
@@ -229,7 +264,7 @@ def test_mean_centering_round_trip():
     assert_allclose(zero.data[:, 0], x.mean(axis=1), atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(60, 24), (1300, 1100)], ids=["thin-svd", "gram"])
+@pytest.mark.parametrize("shape", [(60, 24), (1300, 1100)], ids=["60x24", "1300x1100"])
 def test_mode_signs_survive_rounding_noise(shape):
     rng = np.random.default_rng(12)
     x = rng.standard_normal(shape)
