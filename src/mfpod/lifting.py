@@ -1,14 +1,14 @@
 """Lifting of low-fidelity snapshot sets to high-fidelity resolution.
 
-The spatial lift is one stencil for both modes: every destination node is a
-weighted sum of k source nodes of the same field component, k = 1 with
-weight 1 for nearest-neighbor and k = 4 (the periodic bilinear cell) for
+The spatial lift is one stencil over a whole snapshot row, for both modes: each
+destination entry is a weighted sum of k source entries of its own field, k = 1
+with weight 1 for nearest-neighbor and k = 4 (the periodic bilinear cell) for
 bilinear. Time is then interpolated linearly onto the target time grid. The
-snapshot matrix is parameter-major, so every parameter is lifted at once:
-the spatial stencil acts on all columns together and the time interpolation
-on the (rows, n_mu, n_t) view of them. Both stages are linear maps, so the
-composite acts like P @ X @ Q^T; the order (space first, then time)
-therefore does not affect the result and is chosen to keep peak memory low.
+snapshot matrix is parameter-major, so every parameter is lifted at once: the
+spatial stencil acts on all columns together and the time interpolation on the
+(rows, n_mu, n_t) view of them. Both stages are linear maps, so the composite
+acts like P @ X @ Q^T; the order (space first, then time) therefore does not
+affect the result and is chosen to keep peak memory low.
 
 ``lift_project`` fuses lifting with projection onto a reduced basis by
 pre-contracting the basis with the spatial stencil, so the lifted fields are
@@ -50,21 +50,20 @@ class LiftSpec:
             raise ValidationError(
                 f"spatial_mode must be one of {SPATIAL_MODES}, got {self.spatial_mode!r}"
             )
-        object.__setattr__(
-            self, "dst_times", np.asarray(self.dst_times, dtype=np.float64)
-        )
-        if self.dst_times.ndim != 1 or self.dst_times.size < 1:
-            raise ValidationError("dst_times must be a nonempty 1-D vector")
+        t = np.asarray(self.dst_times, dtype=np.float64)
+        object.__setattr__(self, "dst_times", t)
+        if t.ndim != 1 or t.size < 1 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise ValidationError("dst_times must be 1-D, nonempty, finite, strictly increasing")
 
 
-def _flat_gather(spec: LiftSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Source indices and weights, each (k, n_dst^2), of one field component.
+def _flat_gather(spec: LiftSpec, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source indices and weights, each (k, n_fields * n_dst^2), of a whole snapshot row.
 
-    Destination flat index r = ix + n_dst*iy is the sum over j of
-    w[j, r] * source[idx[j, r]], with source flat indices following the same
-    column-major convention. ``nearest`` is k = 1 with weight 1; ``bilinear``
-    is the four corners of the periodic source cell in the order 00, 10, 01,
-    11 (x offset, then y offset).
+    Lifted entry f*n_dst^2 + r, with r = ix + n_dst*iy, is the sum over j of
+    w[j, .] * row[idx[j, .]]: field f reads its own source entries, at the
+    same column-major flat indices offset by f*n_src^2, and the weights
+    repeat per field. The k = 4 bilinear corners of the periodic source cell
+    come in the order 00, 10, 01, 11 (x offset, then y offset).
     """
     ns = spec.src_grid.n
     if spec.spatial_mode == "nearest":
@@ -76,7 +75,8 @@ def _flat_gather(spec: LiftSpec) -> tuple[np.ndarray, np.ndarray]:
     corners = [(x, y) for y in axis for x in axis]
     idx = np.stack([np.add.outer(ix, ns * iy).ravel(order="F") for (ix, _), (iy, _) in corners])
     w = np.stack([np.multiply.outer(wx, wy).ravel(order="F") for (_, wx), (_, wy) in corners])
-    return idx, w
+    offsets = ns * ns * np.arange(n_fields)
+    return (idx[:, None, :] + offsets[:, None]).reshape(len(idx), -1), np.tile(w, n_fields)
 
 
 def _interp_blocks(cols: np.ndarray, snaps: SnapshotSet, dst_times: np.ndarray) -> np.ndarray:
@@ -102,30 +102,29 @@ def _validate_input(snaps: SnapshotSet, spec: LiftSpec) -> int:
     return n_fields
 
 
-def _spatial(rows: np.ndarray, n_fields: int, spec: LiftSpec, gather) -> np.ndarray:
+def _spatial(rows: np.ndarray, gather) -> np.ndarray:
     """Spatial lift of ``rows``, one source column per row, one lifted column per row.
 
     ``rows`` is a slice of the (column, dof) transpose, whose rows are
     contiguous for column-major snapshots; np.take keeps its output
     row-major, which fancy indexing along the last axis does not.
     """
-    ns2 = spec.src_grid.n**2
-    nd2 = spec.dst_grid.n**2
     idx, w = gather
-    out = np.empty((rows.shape[0], n_fields * nd2))
-    for f in range(n_fields):
-        src = rows[:, f * ns2 : (f + 1) * ns2]
-        dst = out[:, f * nd2 : (f + 1) * nd2]
-        np.multiply(np.take(src, idx[0], axis=1), w[0], out=dst)
+    out = np.take(rows, idx[0], axis=1)
+    out *= w[0]
+    if len(idx) > 1:
+        term = np.empty_like(out)
         for ik, wk in zip(idx[1:], w[1:]):
-            dst += np.take(src, ik, axis=1) * wk
+            # every index is in range; "clip" lets np.take fill ``term`` unbuffered
+            np.take(rows, ik, axis=1, out=term, mode="clip")
+            term *= wk
+            out += term
     return out
 
 
 def lift(snaps: SnapshotSet, spec: LiftSpec) -> SnapshotSet:
     """Lift a snapshot set onto the target grid and times."""
-    n_fields = _validate_input(snaps, spec)
-    spatial = _spatial(snaps.data.T, n_fields, spec, _flat_gather(spec))
+    spatial = _spatial(snaps.data.T, _flat_gather(spec, _validate_input(snaps, spec)))
     return SnapshotSet(
         fidelity=snaps.fidelity,
         data=_interp_blocks(spatial.T, snaps, spec.dst_times),
@@ -144,8 +143,7 @@ def _lift_blocks(snaps: SnapshotSet, spec: LiftSpec, width: int):
     Each column-major block is lifted from only the source columns it reads,
     so no full-size lifted set is formed.
     """
-    n_fields = _validate_input(snaps, spec)
-    gather = _flat_gather(spec)
+    gather = _flat_gather(spec, _validate_input(snaps, spec))
     n_src, n_dst = snaps.n_t, spec.dst_times.size
     same_times = np.array_equal(snaps.times, spec.dst_times)
     if not same_times:
@@ -155,10 +153,10 @@ def _lift_blocks(snaps: SnapshotSet, spec: LiftSpec, width: int):
         for start in range(0, n_dst, width):
             stop = min(start + width, n_dst)
             if same_times:
-                block = _spatial(rows[start:stop], n_fields, spec, gather)
+                block = _spatial(rows[start:stop], gather)
             else:
                 lo = seg[start]
-                src = _spatial(rows[lo : seg[stop - 1] + 2], n_fields, spec, gather)
+                src = _spatial(rows[lo : seg[stop - 1] + 2], gather)
                 s, ws = seg[start:stop] - lo, w[start:stop, None]
                 block = (1.0 - ws) * src[s] + ws * src[s + 1]
             yield i * n_dst + start, block.T
@@ -171,20 +169,14 @@ def reduced_stencil(basis: PodBasis, spec: LiftSpec) -> np.ndarray:
     R.T @ snapshot for every linear spatial mode.
     """
     n_fields = len(basis.field_names)
-    ns2 = spec.src_grid.n**2
-    nd2 = spec.dst_grid.n**2
-    if basis.n_dof != n_fields * nd2:
+    if basis.n_dof != n_fields * spec.dst_grid.n**2:
         raise ShapeError(
             f"basis rows ({basis.n_dof}) are not field_count * n_dst^2 "
             f"({n_fields} * {spec.dst_grid.n}^2)"
         )
-    idx, w = _flat_gather(spec)
-    reduced = np.zeros((n_fields * ns2, basis.n_pod), dtype=np.float64)
-    for f in range(n_fields):
-        modes_f = basis.modes[f * nd2 : (f + 1) * nd2, :]
-        target = reduced[f * ns2 : (f + 1) * ns2, :]
-        for ik, wk in zip(idx, w):
-            np.add.at(target, ik, wk[:, None] * modes_f)
+    reduced = np.zeros((n_fields * spec.src_grid.n**2, basis.n_pod), dtype=np.float64)
+    for ik, wk in zip(*_flat_gather(spec, n_fields)):
+        np.add.at(reduced, ik, wk[:, None] * basis.modes)
     return reduced
 
 

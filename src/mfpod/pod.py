@@ -11,8 +11,10 @@ eigendecomposition of the small Gram matrix X^T X, forming only the retained
 left vectors. Its rank cut resolves sigma only down to
 sqrt(max(m, n) * eps) * sigma_0, the thin SVD's down to max(m, n) * eps *
 sigma_0, so wide sets and tall sets whose rule retains a mode below the Gram
-rank cut take the thin SVD. Both routes agree to LAPACK accuracy and are
-cross-checked in the test suite.
+rank cut take the thin SVD. The cut bounds the noise in sigma, not the
+accuracy of the modes just above it: on a 2048 x 1100 test set, the Gram
+route put mode k off the true subspace by about 1e-3 eps (sigma_0/sigma_k)^2
+and the SVD within 1e-9. The test suite cross-checks both routes.
 
 The Gram matrix is summed in fixed blocks of ``_BLOCK`` columns of its upper
 triangle, X[:, :j+b]^T X[:, j:j+b], and mirrored, so it is exactly
@@ -82,6 +84,11 @@ class PodBasis:
     snapshot_mean: np.ndarray | None
     grid: Grid2D
     field_names: tuple[str, ...]
+
+    def __post_init__(self):
+        mean = () if self.snapshot_mean is None else (self.snapshot_mean,)
+        if not all(np.all(np.isfinite(a)) for a in (self.modes, self.sigma, *mean)):
+            raise ValidationError("basis modes, sigma and mean must be finite")
 
     @property
     def n_dof(self) -> int:

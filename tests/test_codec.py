@@ -265,6 +265,33 @@ def test_forged_network_block_is_format_error(tmp_path, defect):
         load_model(path)
 
 
+# (block, byte offset in it, forged value): the basis block's 3 sigma, 16x2
+# column-major modes and 16-entry mean follow its magic, 7 u32 fields, L and
+# eps_pod; the lift block's 5 times follow its magic, 4 u32 fields and 2 L
+FORGED_VALUES = {
+    "nan sigma": (0, 52 + 8, np.nan),  # sigma[1]
+    "nan mode": (0, 76 + 8 * 17, np.nan),  # modes[1, 1]
+    "inf mean": (0, 332, np.inf),  # snapshot_mean[0]
+    "nan lift time": (1, 40 + 16, np.nan),  # dst_times[2]
+    "repeated lift time": (1, 40 + 8, 0.0),  # dst_times[1] = dst_times[0]
+}
+
+
+@pytest.mark.parametrize("defect", list(FORGED_VALUES))
+def test_forged_basis_or_lift_value_is_format_error(tmp_path, defect):
+    # PodBasis or LiftSpec rejects the value, so the model does not load and
+    # fail only at its first prediction
+    index, at, value = FORGED_VALUES[defect]
+    begin = block_offsets(GOOD["surr"])[index]
+    (size,) = struct.unpack_from("<Q", GOOD["surr"], begin - 8)
+    block = bytearray(GOOD["surr"][begin : begin + size])
+    struct.pack_into("<d", block, at, value)
+    path = tmp_path / "model.mfsurr"
+    path.write_bytes(with_block(GOOD["surr"], index, bytes(block)))
+    with pytest.raises(FormatError, match="finite"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("defect", ["no layers", "non-finite weight", "non-finite statistic"])
 def test_lstm_from_bytes_rejects_forged_value_with_format_error(defect):
     # the block reader itself maps a value its type rejects to FormatError,

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from interp_oracle import interp_space
 from mfpod.errors import ExtrapolationError, ShapeError, ValidationError
-from mfpod.lifting import LiftSpec, _lift_blocks, lift, lift_project
+from mfpod.lifting import LiftSpec, _lift_blocks, lift, lift_project, reduced_stencil
 from mfpod.numerics import Grid2D, interp_time
 from mfpod.pod import PodRule, build_basis
 from mfpod.snapshots import SnapshotSet
@@ -118,6 +118,25 @@ def test_components_do_not_mix():
     out = lift(snaps, spec)
     assert np.abs(out.data[: 16 * 16] - 1.0).max() < 1e-13
     assert np.abs(out.data[16 * 16 :] + 2.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+def test_whole_row_stencil_equals_each_field_alone(mode):
+    # one stencil over the whole row gives, bit for bit, each field lifted
+    # (and its modes pre-contracted) as a one-field set of its own
+    lf = make_set(8, 2.0, [0.0, 1.0, 2.0], [1.0, 2.0], n_fields=2, seed=12)
+    hf = make_set(16, 2.0, [0.0, 1.0, 2.0], [1.0, 2.0], n_fields=2, seed=13, fidelity="HF")
+    basis = build_basis(hf, PodRule(n_modes=4))
+    spec = LiftSpec(mode, lf.grid, hf.grid, np.linspace(0, 2, 5))
+    ns2, nd2 = 8 * 8, 16 * 16
+    fields = [dataclasses.replace(lf, data=lf.data[f * ns2 : (f + 1) * ns2], field_names=(name,))
+              for f, name in enumerate(lf.field_names)]
+    assert np.array_equal(lift(lf, spec).data, np.vstack([lift(one, spec).data for one in fields]))
+    bases = [dataclasses.replace(basis, modes=basis.modes[f * nd2 : (f + 1) * nd2],
+                                 field_names=(name,))
+             for f, name in enumerate(basis.field_names)]
+    assert np.array_equal(reduced_stencil(basis, spec),
+                          np.vstack([reduced_stencil(one, spec) for one in bases]))
 
 
 def test_extrapolation_rejected():
