@@ -10,7 +10,9 @@ hyperparameter search; each problem adds its three MFSNAP files. Last come
 two ``reconstruct`` products on seeded coefficients at benchmark sizes
 (8192 rows x 9 modes x 801 columns and 4096 x 17 x 401), then the basis
 build's blocked Gram product and its panel product X @ V with 9 columns, on
-seeded 8192 x 603 and 8192 x 1203 snapshot matrices; the 16^2 runs never
+seeded 8192 x 603 and 8192 x 1203 snapshot matrices, and two low-fidelity
+trajectories on the 32^2 grid the online path solves on (sw at mu 2.3,
+dt 0.1, T 20; rd at three mu, dt 0.05, d 0.1, T 20); the 16^2 runs never
 reach these kernels at such sizes. One line per artifact, ``sha256  name``,
 in a fixed order.
 
@@ -24,7 +26,8 @@ the repository with the other tree checked out in ../parent:
 
 Only API that has been stable across those refactors is used, so the probe
 runs against older trees too; a tree without the blocked Gram kernels
-(``pod._gram``) prints no Gram or panel lines.
+(``pod._gram``) prints no Gram or panel lines. The trajectory lines use only
+``generate_dataset``, so every tree prints them.
 """
 
 import hashlib
@@ -53,6 +56,12 @@ PRODUCTS = [(2, 64, 9, 801), (1, 64, 17, 401)]
 # (rows, columns) of the benchmark-size snapshot matrices, and their retained modes
 SNAPSHOT_SHAPES = [(8192, 603), (8192, 1203)]
 GRAM_MODES = 9
+# (problem, LF profile, parameter values) of the benchmark-size trajectories
+TRAJECTORIES = [
+    ("sw", FidelityProfile("LF", 32, 0.1), [2.3]),
+    ("rd", FidelityProfile("LF", 32, 0.05, 0.1), [0.5, 1.0, 1.5]),
+]
+T_TRAJECTORY = 20.0
 
 
 def digest(value) -> str:
@@ -120,6 +129,10 @@ def artifacts(work: Path):
             yield f"gram/{m}x{n}", pod._gram(x)
             right = rng.standard_normal((n, GRAM_MODES))
             yield f"panel/{m}x{n}x{GRAM_MODES}", pod._panel_product(x, right)
+
+    for problem, profile, values in TRAJECTORIES:
+        snaps = generate_dataset(problem, profile, np.array(values), T_TRAJECTORY)
+        yield f"trajectory/{problem}/{profile.n}x{len(values)}", snaps.data
 
 
 def main() -> None:

@@ -5,10 +5,11 @@ destination entry is a weighted sum of k source entries of its own field, k = 1
 with weight 1 for nearest-neighbor and k = 4 (the periodic bilinear cell) for
 bilinear. Time is then interpolated linearly onto the target time grid. The
 snapshot matrix is parameter-major, so every parameter is lifted at once: the
-spatial stencil acts on all columns together and the time interpolation on the
-(rows, n_mu, n_t) view of them. Both stages are linear maps, so the composite
-acts like P @ X @ Q^T; the order (space first, then time) therefore does not
-affect the result and is chosen to keep peak memory low.
+spatial stencil acts on all columns together, one row per column, and the
+time interpolation on axis 1 of the (n_mu, n_t, rows) view of those rows.
+Both stages are linear maps, so the composite acts like P @ X @ Q^T; the
+order (space first, then time) therefore does not affect the result and is
+chosen to keep peak memory low.
 
 ``lift_project`` fuses lifting with projection onto a reduced basis by
 pre-contracting the basis with the spatial stencil, so the lifted fields are
@@ -17,8 +18,8 @@ basis^T (P X Q^T) = ((P^T basis)^T X) Q^T and is used on the hot online
 path; plain ``lift`` is the reference implementation. ``_lift_blocks`` yields
 the columns of ``lift`` block by block, bit for bit, each lifted from only
 the source columns it reads; ``evaluate`` scores the lifted input with it.
-Both share the stencil (``_flat_gather``) and the time rule
-(``numerics.interp_weights``).
+All three share the stencil (``_flat_gather``) and the time rule
+(``numerics.interp_weights`` and ``numerics.interp_segments``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .numerics import Grid2D, bilinear_weight_map, interp_time, interp_weights, nearest_index_map
+from .numerics import (
+    Grid2D,
+    bilinear_weight_map,
+    interp_segments,
+    interp_weights,
+    nearest_index_map,
+)
 from .pod import CoefficientSeries, PodBasis
 from .snapshots import SnapshotSet
 
@@ -79,12 +86,16 @@ def _flat_gather(spec: LiftSpec, n_fields: int) -> tuple[np.ndarray, np.ndarray]
     return (idx[:, None, :] + offsets[:, None]).reshape(len(idx), -1), np.tile(w, n_fields)
 
 
-def _interp_blocks(cols: np.ndarray, snaps: SnapshotSet, dst_times: np.ndarray) -> np.ndarray:
-    """Carry the parameter-major columns ``cols`` from ``snaps.times`` to ``dst_times``."""
+def _interp_columns(rows: np.ndarray, snaps: SnapshotSet, dst_times: np.ndarray) -> np.ndarray:
+    """Carry ``rows``, one per parameter-major column of ``snaps``, to ``dst_times``.
+
+    The result is C-ordered, so its transpose is column-major.
+    """
     if np.array_equal(snaps.times, dst_times):
-        return cols
-    blocks = cols.reshape(cols.shape[0], snaps.n_mu, snaps.n_t)
-    return interp_time(blocks, snaps.times, dst_times).reshape(cols.shape[0], -1)
+        return rows
+    blocks = rows.reshape(snaps.n_mu, snaps.n_t, rows.shape[1])
+    lifted = interp_segments(blocks, *interp_weights(snaps.times, dst_times), axis=1)
+    return lifted.reshape(-1, rows.shape[1])
 
 
 def _validate_input(snaps: SnapshotSet, spec: LiftSpec) -> int:
@@ -127,7 +138,7 @@ def lift(snaps: SnapshotSet, spec: LiftSpec) -> SnapshotSet:
     spatial = _spatial(snaps.data.T, _flat_gather(spec, _validate_input(snaps, spec)))
     return SnapshotSet(
         fidelity=snaps.fidelity,
-        data=_interp_blocks(spatial.T, snaps, spec.dst_times),
+        data=_interp_columns(spatial, snaps, spec.dst_times).T,
         grid=spec.dst_grid,
         times=spec.dst_times.copy(),
         params=snaps.params,
@@ -157,8 +168,7 @@ def _lift_blocks(snaps: SnapshotSet, spec: LiftSpec, width: int):
             else:
                 lo = seg[start]
                 src = _spatial(rows[lo : seg[stop - 1] + 2], gather)
-                s, ws = seg[start:stop] - lo, w[start:stop, None]
-                block = (1.0 - ws) * src[s] + ws * src[s + 1]
+                block = interp_segments(src, seg[start:stop] - lo, w[start:stop], axis=0)
             yield i * n_dst + start, block.T
 
 
@@ -201,7 +211,7 @@ def lift_project(
         # the mean lives on the destination grid, so contract it directly.
         coef_src = coef_src - (basis.modes.T @ basis.snapshot_mean)[:, None]
     return CoefficientSeries(
-        coeffs=_interp_blocks(coef_src, snaps, spec.dst_times),
+        coeffs=_interp_columns(coef_src.T, snaps, spec.dst_times).T,
         times=spec.dst_times.copy(),
         params=snaps.params,
     )

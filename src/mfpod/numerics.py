@@ -133,8 +133,7 @@ def interp_time(
         raise ValidationError("source times must be strictly increasing")
     if t_src.size == 1 and np.array_equal(t_dst, t_src):
         return values.copy()
-    seg, w = interp_weights(t_src, t_dst)
-    return (1.0 - w) * values[..., seg] + w * values[..., seg + 1]
+    return interp_segments(values, *interp_weights(t_src, t_dst))
 
 
 def interp_weights(t_src: np.ndarray, t_dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,3 +156,21 @@ def interp_weights(t_src: np.ndarray, t_dst: np.ndarray) -> tuple[np.ndarray, np
     seg = np.clip(np.searchsorted(t_src, t_q, side="right") - 1, 0, t_src.size - 2)
     w = (t_q - t_src[seg]) / (t_src[seg + 1] - t_src[seg])
     return seg, w
+
+
+def interp_segments(
+    values: np.ndarray, seg: np.ndarray, w: np.ndarray, axis: int = -1
+) -> np.ndarray:
+    """The samples ``interp_weights`` describes, taken along ``axis`` of ``values``.
+
+    The result is a new C-ordered array, formed in place with one scratch
+    buffer of its size.
+    """
+    shape = [1] * values.ndim
+    shape[axis] = w.size
+    out = np.take(values, seg, axis=axis)
+    out *= (1.0 - w).reshape(shape)
+    term = np.take(values, seg + 1, axis=axis)
+    term *= w.reshape(shape)
+    out += term
+    return out

@@ -20,10 +20,13 @@ diverging run. The leading axis carries the parameter values of a sweep, so
 all of them advance in one RK4 loop; each trajectory is bit-identical to a
 run of its parameter alone, and a single run is the n_mu = 1 case. The
 RK4 stage slopes, stage state and sum, the transform outputs and the
-nonlinear terms that are transformed live in buffers allocated once per
+nonlinear terms and their products live in buffers allocated once per
 solve and reused at every stage; the two-dimensional transforms run as the
 one-dimensional passes numpy's own ``rfft2``/``irfft2`` make, so the bits
-are theirs. First derivatives multiply by i*k with the Nyquist wavenumber
+are theirs. Those passes call the pocketfft gufuncs that ``numpy.fft``
+wraps, with the factors it passes them, because at 32^2 the wrappers'
+argument handling costs about 3 us around a 4-10 us transform, four times
+per RK4 stage. First derivatives multiply by i*k with the Nyquist wavenumber
 set to 0: the Nyquist mode of a real field has no real odd derivative, and
 this is what taking the real part of a full complex transform gives. No
 dealiasing filter is applied. Snapshots are stored at every step, so a run
@@ -37,10 +40,15 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import InstabilityError, ValidationError
 from .numerics import Grid2D
 from .snapshots import FIDELITIES, ParameterGrid, SnapshotSet
+
+
+# gufunc axes of a 1-D pass along the grid's first axis: input, factor, output
+_COLUMNS = [(-2,), (), (-2,)]
 
 
 def _check_step(n: int, dt: float, d: float | None) -> None:
@@ -261,22 +269,33 @@ def solve_rd(
     state_hat = np.repeat(state_hat[None], mus.size, axis=0)
     spectrum = np.empty_like(state_hat)
     fields, reaction = np.empty((2, mus.size, 2, n, n))
+    u, v = fields[:, 0], fields[:, 1]
+    reaction_u, reaction_v = reaction[:, 0], reaction[:, 1]
+    growth, rotation = np.empty((2, mus.size, n, n))
+    inv_n = 1.0 / n
 
     def rhs(hat, out, store):
-        # irfft2 and rfft2 as their 1-D passes, into the buffers above:
-        # numpy 2.4.6's irfft2(..., out=) leaves out unwritten and returns a
-        # new array, and rfft2(x, out=) gives the same bits as the two passes
-        # but costs 6-12 us more per 32^2 call (about 800 calls per sw LF solve)
-        np.fft.ifft(hat, axis=-2, out=spectrum)
-        np.fft.irfft(spectrum, n, axis=-1, out=fields)
+        # irfft2 and rfft2 as their 1-D passes, into the buffers above, by
+        # the gufuncs np.fft.ifft/irfft/rfft/fft call with numpy's own
+        # factors (1/n inverse, 1 forward): numpy 2.4.6's irfft2(..., out=)
+        # leaves out unwritten and returns a new array, rfft2(x, out=) costs
+        # 6-12 us more per 32^2 call, and each 1-D wrapper about 3 us more
+        _pocketfft.ifft(hat, inv_n, axes=_COLUMNS, out=spectrum)
+        _pocketfft.irfft(spectrum, inv_n, out=fields)
         if include_reaction:
-            u, v = fields[:, 0], fields[:, 1]
-            a2 = u * u + v * v
-            growth, rotation = 1.0 - a2, rotation_rate * a2
-            np.add(growth * u, rotation * v, out=reaction[:, 0])
-            np.subtract(growth * v, rotation * u, out=reaction[:, 1])
-            np.fft.rfft(reaction, axis=-1, out=out)
-            np.fft.fft(out, axis=-2, out=out)
+            # growth u + rotation v and growth v - rotation u, with growth =
+            # 1 - a2, rotation = mu a2 and a2 = u u + v v: growth holds a2
+            # first, and each buffer is scratch once its value is used
+            np.multiply(u, u, out=growth)
+            np.add(growth, np.multiply(v, v, out=reaction_u), out=growth)
+            np.multiply(rotation_rate, growth, out=rotation)
+            np.subtract(1.0, growth, out=growth)
+            np.add(np.multiply(growth, u, out=reaction_u),
+                   np.multiply(rotation, v, out=reaction_v), out=reaction_u)
+            np.subtract(np.multiply(growth, v, out=reaction_v),
+                        np.multiply(rotation, u, out=growth), out=reaction_v)
+            _pocketfft.rfft_n_even(reaction, 1, out=out)
+            _pocketfft.fft(out, 1, axes=_COLUMNS, out=out)
             np.subtract(out, np.multiply(diffusion, hat, out=spectrum), out=out)
         else:
             np.multiply(decay, hat, out=out)
@@ -315,22 +334,28 @@ def solve_sw(
     spectra = np.empty((mus.size, 5, n, n // 2 + 1), dtype=np.complex128)
     physical = np.empty((mus.size, 5, n, n))
     bracket = np.empty((mus.size, 1, n, n))
+    # w itself is needed only for the stored snapshot; every 1-D line is
+    # transformed on its own, so the other four fields keep their bits
+    passes = {store: (multipliers[:k], spectra[:, :k], physical[:, :k])
+              for store, k in ((False, 4), (True, 5))}
+    psi_x, psi_y, w_x, w_y, w = physical.swapaxes(0, 1)
+    snapshot, diffused = w[:, None], spectra[:, :1]
+    bracket_w, term = bracket[:, 0], np.empty((mus.size, n, n))
+    inv_n = 1.0 / n
 
     def rhs(hat, out, store):
-        # w itself is needed only for the stored snapshot; every 1-D line is
-        # transformed on its own, so the other four fields keep their bits.
-        # The 2-D transforms stay 1-D passes for the reasons given in solve_rd
-        used = slice(5 if store else 4)
-        np.multiply(multipliers[used], hat, out=spectra[:, used])
-        np.fft.ifft(spectra[:, used], axis=-2, out=spectra[:, used])
-        np.fft.irfft(spectra[:, used], n, axis=-1, out=physical[:, used])
-        psi_x, psi_y, w_x, w_y, w = physical.swapaxes(0, 1)
-        np.subtract(psi_x * w_y, psi_y * w_x, out=bracket[:, 0])
-        np.fft.rfft(bracket, axis=-1, out=out)
-        np.fft.fft(out, axis=-2, out=out)
+        # the 2-D transforms are 1-D gufunc passes for the reasons given in solve_rd
+        mult, spec, phys = passes[store]
+        np.multiply(mult, hat, out=spec)
+        _pocketfft.ifft(spec, inv_n, axes=_COLUMNS, out=spec)
+        _pocketfft.irfft(spec, inv_n, out=phys)
+        np.subtract(np.multiply(psi_x, w_y, out=bracket_w),
+                    np.multiply(psi_y, w_x, out=term), out=bracket_w)
+        _pocketfft.rfft_n_even(bracket, 1, out=out)
+        _pocketfft.fft(out, 1, axes=_COLUMNS, out=out)
         np.multiply(advection, out, out=out)
-        np.subtract(out, np.multiply(diffusion, hat, out=spectra[:, :1]), out=out)
-        return w[:, None] if store else None
+        np.subtract(out, np.multiply(diffusion, hat, out=diffused), out=out)
+        return snapshot if store else None
 
     times = time_grid(cfg.T, cfg.dt)
     return times, _integrate(state_hat, rhs, times, cfg.dt, mus)

@@ -331,12 +331,14 @@ def _allocating_sw(cfg, ic, mus):
 
 @pytest.mark.parametrize("ic", ["random", "zeros"])
 @pytest.mark.parametrize("mus", [[1.3], [0.5, 1.0, 2.5]], ids=["1mu", "3mu"])
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
 @pytest.mark.parametrize("case", ["rd", "rd-diffusion", "sw"])
 def test_buffered_kernel_equals_allocating_kernel_bitwise(case, n, mus, ic):
-    # the solvers reuse their stage buffers and run rfft2/irfft2 as 1-D passes;
-    # every operation must stay the same, so the bits, signed zeros included,
-    # must be those of the kernel that allocates every stage
+    # the solvers reuse their stage and nonlinear-term buffers and run
+    # rfft2/irfft2 as 1-D passes of the pocketfft gufuncs; every operation
+    # must stay the same, so the bits, signed zeros included, must be those
+    # of the kernel that allocates every stage through the public transforms.
+    # 32^2 and 64^2 are the benchmark's LF and HF grids
     rng = np.random.default_rng(n + len(mus))
     fields = rng.uniform(-1.0, 1.0, (2, n, n))
     if ic == "zeros":
