@@ -19,13 +19,24 @@ the last-line JSON and the info line of ``mfbench/run.py``, and, once, the
 numpy and BLAS versions, the CPU count, the heap setting and
 ``git rev-parse HEAD``. It is written to the first free ``BENCH_<n>.json`` at
 the root of the repository.
+
+With ``--parent REV`` the tree of git revision REV is exported with
+``git archive`` into a temporary directory and benchmarked too, each run
+next to the same run of this tree, the two sides taking turns at going first
+from one seed to the next. Every run records its ``side`` ("change" or
+"parent"), and the environment records the parent's commit, so per-layer
+deltas compare runs made on the same host minutes apart:
+
+    python scripts/bench.py --parent HEAD~1
 """
 
+import argparse
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -37,19 +48,29 @@ CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432"}
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
-def git_head() -> str | None:
+def git_commit(rev: str = "HEAD") -> str | None:
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                             text=True, check=True)
+        out = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                             capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
 
 
+def export_tree(commit: str, dest: Path) -> Path:
+    """Extract the committed files of ``commit`` into ``dest`` with git archive."""
+    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {commit} failed")
+    return dest
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
-        "git_head": git_head(),
+        "git_head": git_commit(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
@@ -58,10 +79,10 @@ def environment() -> dict:
     }
 
 
-def run_one(workload: str, seed: int, trace: int) -> dict:
+def run_one(side: str, root: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "mfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, env={**os.environ, **CHILD_ENV},
+    proc = subprocess.run(cmd, cwd=root, env={**os.environ, **CHILD_ENV},
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -69,6 +90,7 @@ def run_one(workload: str, seed: int, trace: int) -> dict:
     except (IndexError, json.JSONDecodeError):
         result = None
     return {
+        "side": side,
         "workload": workload,
         "seed": seed,
         "trace": trace,
@@ -80,19 +102,36 @@ def run_one(workload: str, seed: int, trace: int) -> dict:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", metavar="REV",
+                        help="also benchmark the committed tree of git revision REV, "
+                             "alternating with this tree")
+    args = parser.parse_args()
+    env = environment()
+    parent = None
+    if args.parent is not None:
+        parent = git_commit(args.parent)
+        if parent is None:
+            parser.error(f"not a git revision: {args.parent}")
+        env["parent"] = {"rev": args.parent, "commit": parent}
     n = 0
     while (ROOT / f"BENCH_{n}.json").exists():
         n += 1
     path = ROOT / f"BENCH_{n}.json"
     runs = []
-    for workload in WORKLOADS:
-        for seed, trace in RUNS:
-            run = run_one(workload, seed, trace)
-            ok = run["result"] is not None and run["result"]["correct"]
-            print(f"{workload} seed {seed} trace {trace}: "
-                  f"{'ok' if ok else 'FAILED'}  {run['info']}", flush=True)
-            runs.append(run)
-    doc = {"seconds": SECONDS, "environment": environment(), "runs": runs}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        sides = [("change", ROOT)]
+        if parent is not None:
+            sides.append(("parent", export_tree(parent, Path(tmp))))
+        for workload in WORKLOADS:
+            for i, (seed, trace) in enumerate(RUNS):
+                for side, root in sides[:: 1 if i % 2 == 0 else -1]:
+                    run = run_one(side, root, workload, seed, trace)
+                    ok = run["result"] is not None and run["result"]["correct"]
+                    print(f"{side} {workload} seed {seed} trace {trace}: "
+                          f"{'ok' if ok else 'FAILED'}  {run['info']}", flush=True)
+                    runs.append(run)
+    doc = {"seconds": SECONDS, "environment": env, "runs": runs}
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path.name}")
     failed = [r for r in runs if r["result"] is None or not r["result"]["correct"]]

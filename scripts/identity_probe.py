@@ -12,9 +12,17 @@ two ``reconstruct`` products on seeded coefficients at benchmark sizes
 build's blocked Gram product and its panel product X @ V with 9 columns, on
 seeded 8192 x 603 and 8192 x 1203 snapshot matrices, and two low-fidelity
 trajectories on the 32^2 grid the online path solves on (sw at mu 2.3,
-dt 0.1, T 20; rd at three mu, dt 0.05, d 0.1, T 20); the 16^2 runs never
-reach these kernels at such sizes. One line per artifact, ``sha256  name``,
-in a fixed order.
+dt 0.1, T 20; rd at three mu, dt 0.05, d 0.1, T 20). Then the LSTM kernels
+of a seeded hidden-64 layer at the benchmark's shapes: the loss and
+gradients of ``_sse_grads`` on training batches of 30 and 15 windows of 40
+steps, and the forward pass without cache on 3 and 1 sequences of 401
+steps, the held-out and ``predict`` shapes; and the blocked Gram product at
+1024 x 250 and 2048 x 500. The 16^2 runs never reach these kernels at such
+sizes. The gradient lines leave out the gate weight gradient: its one GEMM,
+(4H x TB) @ (TB x (H + D)), gives different bits under one and two OpenBLAS
+threads at these shapes, while the gate bias gradient sums every gate
+gradient of the backward pass without BLAS. One line per artifact,
+``sha256  name``, in a fixed order.
 
 A refactor meant to leave every output unchanged is checked by running the
 probe against two source trees and diffing the lines, e.g. from the root of
@@ -26,8 +34,9 @@ the repository with the other tree checked out in ../parent:
 
 Only API that has been stable across those refactors is used, so the probe
 runs against older trees too; a tree without the blocked Gram kernels
-(``pod._gram``) prints no Gram or panel lines. The trajectory lines use only
-``generate_dataset``, so every tree prints them.
+(``pod._gram``) prints no Gram or panel lines, and one without the stacked
+LSTM kernels (``mflstm._sse_grads``) no LSTM lines. The trajectory lines use
+only ``generate_dataset``, so every tree prints them.
 """
 
 import hashlib
@@ -36,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mfpod import pipeline, pod
+from mfpod import mflstm, pipeline, pod
 from mfpod.mflstm import TrainConfig, hyperparameter_search, predict, train_static_baseline
 from mfpod.numerics import Grid2D
 from mfpod.pod import CoefficientSeries, PodBasis, PodRule, reconstruct
@@ -62,6 +71,13 @@ TRAJECTORIES = [
     ("rd", FidelityProfile("LF", 32, 0.05, 0.1), [0.5, 1.0, 1.5]),
 ]
 T_TRAJECTORY = 20.0
+# (hidden, features, outputs) of the benchmark-size LSTM layer: t, mu and 9 modes
+LSTM_DIMS = (64, 11, 9)
+# (steps, batch) of the training batches and of the forward passes without cache
+GRAD_SHAPES = [(40, 30), (40, 15)]
+FORWARD_SHAPES = [(401, 3), (401, 1)]
+# (rows, columns) of the Gram products whose widths end in panels of 128 and 192
+GRAM_SHAPES = [(1024, 250), (2048, 500)]
 
 
 def digest(value) -> str:
@@ -133,6 +149,27 @@ def artifacts(work: Path):
     for problem, profile, values in TRAJECTORIES:
         snaps = generate_dataset(problem, profile, np.array(values), T_TRAJECTORY)
         yield f"trajectory/{problem}/{profile.n}x{len(values)}", snaps.data
+
+    rng = np.random.default_rng(1)
+    if hasattr(mflstm, "_sse_grads"):
+        hidden, n_in, n_out = LSTM_DIMS
+        limit = 1.0 / np.sqrt(hidden + n_in)
+        layer = mflstm.LstmLayerWeights(rng.uniform(-limit, limit, (4 * hidden, hidden + n_in)),
+                                        rng.uniform(-0.5, 0.5, 4 * hidden))
+        readout = (rng.uniform(-0.125, 0.125, (n_out, hidden)), rng.uniform(-0.5, 0.5, n_out))
+        scale_sq = rng.uniform(0.5, 2.0, n_out)
+        for n_steps, n_batch in GRAD_SHAPES:
+            x = rng.standard_normal((n_steps, n_batch, n_in))
+            y = rng.standard_normal((n_steps, n_batch, n_out))
+            sse, (_, d_b, d_w_out, d_b_out) = mflstm._sse_grads([layer], readout, scale_sq, x, y)
+            yield (f"lstm/sse_grads/{n_steps}x{n_batch}",
+                   np.concatenate([[sse], d_b, d_w_out.ravel(), d_b_out]))
+        for n_steps, n_batch in FORWARD_SHAPES:
+            x = rng.standard_normal((n_steps, n_batch, n_in))
+            yield f"lstm/forward/{n_steps}x{n_batch}", mflstm._forward_stacked([layer], readout, x)[0]
+    if hasattr(pod, "_gram"):
+        for m, n in GRAM_SHAPES:
+            yield f"gram/{m}x{n}", pod._gram(np.asfortranarray(rng.standard_normal((m, n))))
 
 
 def main() -> None:

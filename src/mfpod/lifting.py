@@ -122,8 +122,9 @@ def _spatial(rows: np.ndarray, gather) -> np.ndarray:
     """
     idx, w = gather
     out = np.take(rows, idx[0], axis=1)
-    out *= w[0]
+    # a one-corner (nearest) stencil has weight 1.0, and x * 1.0 == x
     if len(idx) > 1:
+        out *= w[0]
         term = np.empty_like(out)
         for ik, wk in zip(idx[1:], w[1:]):
             # every index is in range; "clip" lets np.take fill ``term`` unbuffered

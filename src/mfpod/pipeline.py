@@ -104,6 +104,10 @@ class SurrogateModel:
             )
         if self.lift_spec.dst_grid != self.basis.grid:
             raise ValidationError("lift destination grid does not match the basis grid")
+        # the stencil has a row per source entry, so a source no finer than the
+        # basis grid bounds it by the basis, which a model file stores
+        if self.lift_spec.src_grid.n > self.basis.grid.n:
+            raise ValidationError("lift source grid is finer than the basis grid")
         self.stencil = reduced_stencil(self.basis, self.lift_spec)
 
 

@@ -16,16 +16,26 @@ accuracy of the modes just above it: on a 2048 x 1100 test set, the Gram
 route put mode k off the true subspace by about 1e-3 eps (sigma_0/sigma_k)^2
 and the SVD within 1e-9. The test suite cross-checks both routes.
 
-The Gram matrix is summed in fixed blocks of ``_BLOCK`` columns of its upper
-triangle, X[:, :j+b]^T X[:, j:j+b], and mirrored, so it is exactly
-symmetric; the left vectors X @ V are summed over fixed panels of ``_BLOCK``
-columns of X. Under OpenBLAS both block products gave the same bits under 1
-and 2 threads at 512x123, 4096x603, 8192x603, 8192x1203 and 20000x1203, which
-``scripts/identity_probe.py`` checks at benchmark size. They did not at
-1300x1100 or 1500x1100, and neither did whole-matrix syrk or gemm Gram
-products at any shape tried. ``eigh`` at 603 and 1203 columns and the thin
-SVD at 8192x603 and 8192x1203 are not thread-invariant either, so a basis of
-benchmark size may still differ in the last bits between thread counts.
+The Gram matrix is summed over column panels of its upper triangle,
+X[:, :k]^T X[:, j:k]. Panel edges sit at multiples of ``_BLOCK`` (64); a
+panel spans up to four blocks, and the last partial block is a panel of its
+own, so every product is 64, 128, 192 or 256 columns wide, or under 64.
+Every entry has the bits it has in 64-column blocks, and the panels are
+about a fifth faster at 8192x1203. The upper triangle is then mirrored in
+place one block at a time, every entry stored + 0.0, so the matrix is
+exactly symmetric. The left vectors X @ V are summed over fixed panels of
+``_BLOCK`` columns of X. Under OpenBLAS both products gave the same bits
+under 1 and 2 threads at 512x123, 1024x250, 2048x500, 4096x603, 8192x603,
+8192x1203 and 20000x1203, which ``scripts/identity_probe.py`` checks at
+benchmark size. They did not at 1300x1100 or 1500x1100, and neither did
+whole-matrix syrk or gemm Gram products at any shape tried, nor plain
+256-column panels at 512x123, 1024x250 or 2048x500, whose last panels are
+123, 250 and 244 columns wide: at 512 to 8192 rows, X_w^T X_w changed bits
+with the thread count at w = 123, 125, 129, 179, 230, 244 and 250 columns,
+but not at 64, 128, 192 or 256. ``eigh`` at 603 and 1203 columns and the
+thin SVD at 8192x603 and 8192x1203 are not thread-invariant either, so a
+basis of benchmark size may still differ in the last bits between thread
+counts.
 
 Each retained mode is flipped so that its largest-magnitude entry is
 positive (the ``svd_flip`` convention), on both routes. Singular vectors are
@@ -55,6 +65,9 @@ from .snapshots import SnapshotSet
 # 1203 columns, but 320 and 448 gave thread-dependent bits at 8192x1203 and 384
 # at 8192x603; 64 and 96 did not at any shape tried.
 _BLOCK = 64
+# Whole blocks per Gram panel: products 64, 128, 192 and 256 wide give every
+# entry the bits of 64-wide ones
+_PANEL_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -164,13 +177,29 @@ def _orthonormalize(u: np.ndarray) -> np.ndarray:
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    """X^T X from blocks of its upper triangle, mirrored: exactly symmetric."""
+    """X^T X from panels of its upper triangle, mirrored: exactly symmetric.
+
+    Panel edges sit at multiples of ``_BLOCK``; a panel spans up to
+    ``_PANEL_BLOCKS`` whole blocks, and the last partial block is a panel of
+    its own. Every entry is then stored + 0.0, above the diagonal in place
+    and below it from its mirror, one block at a time.
+    """
     n = x.shape[1]
     gram = np.empty((n, n))
+    full = n - n % _BLOCK
+    edges = [*range(0, full, _PANEL_BLOCKS * _BLOCK), full, n]
+    for j, k in zip(edges[:-1], edges[1:]):
+        if k > j:
+            gram[:k, j:k] = x[:, :k].T @ x[:, j:k]
     for j in range(0, n, _BLOCK):
         k = min(j + _BLOCK, n)
-        gram[:k, j:k] = x[:, :k].T @ x[:, j:k]
-    return np.triu(gram) + np.triu(gram, 1).T
+        upper = gram[:k, j:k]
+        upper += 0.0
+        np.copyto(gram[j:k, :j], upper[:j].T)
+        diag = gram[j:k, j:k]
+        lower = np.tril_indices(k - j, -1)
+        diag[lower] = diag.T[lower]
+    return gram
 
 
 def _panel_product(x: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -92,6 +92,17 @@ def test_surrogate_rejects_inconsistent_parts(tiny_model):
         )
 
 
+def test_surrogate_rejects_a_lift_from_a_finer_grid(tiny_model):
+    # the reduced stencil has a row per source entry: a forged source grid
+    # must be refused before it is allocated
+    spec = tiny_model.lift_spec
+    finer = LiftSpec(spec.spatial_mode, Grid2D(spec.dst_grid.n + 2, spec.src_grid.L),
+                     spec.dst_grid, spec.dst_times)
+    with pytest.raises(ValidationError, match="finer"):
+        SurrogateModel(basis=tiny_model.basis, lift_spec=finer, lstm=tiny_model.lstm,
+                       provenance=tiny_model.provenance)
+
+
 def test_coefficient_alignment_structure(tiny_sets, tiny_model):
     # column i of both coefficient series corresponds to the same (t, mu)
     hf, lf = tiny_sets

@@ -222,6 +222,34 @@ def test_gram_route_matches_direct_svd(shape):
     assert np.abs(basis.modes.T @ basis.modes - np.eye(5)).max() < 1e-10
 
 
+def column_block_gram(x: np.ndarray) -> np.ndarray:
+    """X^T X from 64-column blocks of its upper triangle, mirrored by
+    triu(g) + triu(g, 1).T, which stores every entry + 0.0."""
+    n = x.shape[1]
+    gram = np.empty((n, n))
+    for j in range(0, n, 64):
+        k = min(j + 64, n)
+        gram[:k, j:k] = x[:, :k].T @ x[:, j:k]
+    return np.triu(gram) + np.triu(gram, 1).T
+
+
+@pytest.mark.parametrize("shape, zero_column", [((1024, 250), None), ((2048, 500), None),
+                                                ((4096, 603), None), ((1024, 250), 70)],
+                         ids=["1024x250", "2048x500", "4096x603", "zero-column"])
+def test_gram_panels_equal_column_blocks_bitwise(shape, zero_column):
+    # panels up to 256 columns wide, edges at multiples of 64, give every
+    # entry the bits of the 64-column blocks; the mirror keeps the + 0.0
+    rng = np.random.default_rng(shape[1])
+    x = np.asfortranarray(rng.standard_normal(shape))
+    if zero_column is not None:
+        x[:, zero_column] = -0.0
+    gram = pod._gram(x)
+    assert gram.tobytes() == column_block_gram(x).tobytes()
+    assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+    if zero_column is not None:
+        assert not np.signbit(gram[zero_column]).any()
+
+
 def assert_matches_svd(basis, x: np.ndarray, n_pod: int):
     """n_pod modes, each on the span of the thin SVD's leading n_pod left vectors."""
     assert basis.n_pod == n_pod
