@@ -2,8 +2,8 @@
 
 Subcommands: generate, train, predict, evaluate, search, report. Runs are
 driven by a JSON config (flags override config keys) so an experiment is
-reproducible from its manifest. Exit codes: 0 success, 2 configuration or
-validation failure, 3 numerical failure, 4 data-coverage failure.
+reproducible from its manifest. Exit codes: 0 success, else the ``exit_code``
+of the ``MfpodError`` raised (2 input or file, 3 numerical, 4 data coverage).
 
 The environment variable MFPOD_SEED, when set, overrides the config seed.
 """
@@ -24,14 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .codec import write_atomic
-from .errors import (
-    CoverageError,
-    InstabilityError,
-    MfpodError,
-    TrainingError,
-    ValidationError,
-)
+from .codec import read_text, write_atomic
+from .errors import MfpodError, ValidationError
 from .mflstm import TrainConfig, hyperparameter_search
 from .pod import PodRule, project
 from .snapshots import ParameterGrid, read_snapshots, write_snapshots
@@ -104,13 +98,10 @@ def load_config(path: str | None) -> dict:
     """Load and schema-validate a JSON run config; unknown keys and mistyped values fail."""
     if path is None:
         return {}
-    cfg_path = Path(path)
-    if not cfg_path.is_file():
-        raise ValidationError(f"config file not found: {cfg_path}")
     try:
-        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {cfg_path} is not valid JSON: {exc}") from exc
+        cfg = json.loads(read_text(path, "config"))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config root must be a JSON object")
     for key, value in cfg.items():
@@ -393,15 +384,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InstabilityError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MfpodError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

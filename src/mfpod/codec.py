@@ -1,11 +1,15 @@
-"""Binary codec shared by every mfpod file format.
+"""Binary codec shared by every mfpod file format, and the one owner of file checks.
 
 All integers are little-endian u32 (u64 for container block sizes) and all
-floats little-endian f64. ``Reader`` walks one block of a buffer: every read
-is bounds-checked against the bytes actually present before anything is
-allocated, sizes are computed with Python integers, and ``done`` rejects
-trailing bytes. A truncated, forged or otherwise corrupt block therefore
-raises ``FormatError`` and nothing else.
+floats little-endian f64. ``Reader`` checks a block's magic, bounds-checks
+every read against the bytes present before anything is allocated, with
+sizes in Python integers, and ``done`` rejects trailing bytes. ``read_file``
+turns an ``OSError`` into ``StorageError``; ``read_text`` (configs, report
+CSVs) and ``Reader.utf8`` make text that is not UTF-8 a ``FormatError``;
+``stored`` makes a ``ValidationError`` from building a type out of stored
+values a ``FormatError`` with the type's message, and leaves a ``DataError``
+as it is. So a missing, truncated, forged or otherwise corrupt file raises a
+``StorageError`` or ``FormatError`` and nothing else.
 
 On the write side, ``dump_f64`` exposes an array's little-endian f64 bytes
 without copying when the array already has that layout, and ``write_atomic``
@@ -18,20 +22,23 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, StorageError
+from .errors import DataError, FormatError, StorageError, ValidationError
 
 
 class Reader:
-    """Bounds-checked sequential reader over one block of bytes."""
+    """Bounds-checked sequential reader over one block of bytes that starts with ``magic``."""
 
-    def __init__(self, buf, what: str):
+    def __init__(self, buf, what: str, magic: bytes = b""):
         self.buf = memoryview(buf)
         self.pos = 0
         self.what = what
+        if self.take(len(magic)) != magic:
+            raise FormatError(f"bad {what} magic, expected {magic!r}")
 
     def take(self, count: int) -> memoryview:
         """The next ``count`` bytes, as a view into the buffer."""
@@ -62,14 +69,42 @@ class Reader:
 
     def utf8(self) -> str:
         """A u32 byte length followed by that many bytes of UTF-8 text."""
-        try:
-            return str(self.take(self.u32()), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 text in {self.what} block: {exc}") from exc
+        return _utf8(self.take(self.u32()), f"{self.what} block")
 
     def done(self) -> None:
         if self.pos != len(self.buf):
             raise FormatError(f"trailing bytes after {self.what} block")
+
+
+def _utf8(raw, where: str) -> str:
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"invalid UTF-8 text in {where}: {exc}") from exc
+
+
+def read_file(path: str | Path, what: str) -> bytes:
+    """The bytes of the file at ``path``; an ``OSError`` comes back as ``StorageError``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise StorageError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The file at ``path`` as UTF-8 text; other bytes are a ``FormatError``."""
+    return _utf8(read_file(path, what), f"{what} {path}")
+
+
+@contextmanager
+def stored(what: str):
+    """A type rejecting values read from a file is a ``FormatError``; a ``DataError`` stays."""
+    try:
+        yield
+    except DataError:
+        raise
+    except ValidationError as exc:
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 def decode_name(code: int, names: tuple[str, ...], what: str) -> str:

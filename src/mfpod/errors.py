@@ -1,12 +1,14 @@
 """Exception taxonomy shared by all mfpod modules.
 
-The CLI maps these onto process exit codes: validation-type failures
-exit 2, numerical failures exit 3, data-coverage failures exit 4.
+Each type carries the CLI's process exit code in ``exit_code``: validation
+and storage failures exit 2, numerical failures 3, data-coverage failures 4.
 """
 
 
 class MfpodError(Exception):
     """Base class for all mfpod errors."""
+
+    exit_code = 2
 
 
 class ValidationError(MfpodError):
@@ -34,16 +36,22 @@ class StorageError(MfpodError):
 
 
 class FormatError(StorageError):
-    """Bad magic, version, or truncated payload in a binary artifact."""
+    """Bad magic, truncated payload or forged value in an artifact, or text not UTF-8."""
 
 
 class InstabilityError(MfpodError):
     """A solver produced non-finite values; message names the step."""
 
+    exit_code = 3
+
 
 class TrainingError(MfpodError):
     """Optimization diverged or training inputs were unusable."""
 
+    exit_code = 3
+
 
 class CoverageError(MfpodError):
     """Reference data does not cover the requested test set."""
+
+    exit_code = 4

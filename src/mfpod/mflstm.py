@@ -63,7 +63,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .codec import Reader, dump_f64
+from .codec import Reader, dump_f64, stored
 from .errors import (
     AlignmentError,
     FormatError,
@@ -705,9 +705,7 @@ def lstm_to_bytes(model: LstmModel) -> bytes:
 
 def lstm_from_bytes(buf) -> LstmModel:
     """Decode an MFLSTM01 block; a value its type rejects is a forged block, a ``FormatError``."""
-    reader = Reader(buf, "LSTM model")
-    if reader.take(8) != LSTM_MAGIC:
-        raise FormatError("bad LSTM block magic")
+    reader = Reader(buf, "LSTM model", LSTM_MAGIC)
     n_layers, hidden, n_out, d_in, n_params, n_coef, with_time = reader.u32(7)
     layout = FeatureLayout(with_time=bool(with_time), n_params=n_params, n_coef=n_coef)
     if layout.n_features != d_in:
@@ -723,10 +721,8 @@ def lstm_from_bytes(buf) -> LstmModel:
     b_out = reader.f64_array((n_out,))
     stats = [reader.f64_array((size,)) for size in (d_in, d_in, n_out, n_out)]
     reader.done()
-    try:
+    with stored("LSTM block"):
         model = LstmModel(layers, w_out, b_out, Normalizer(*stats[:2]), Normalizer(*stats[2:]),
                           layout)
         _require_finite(model)
-    except ValidationError as exc:
-        raise FormatError(f"LSTM block: {exc}") from exc
     return model

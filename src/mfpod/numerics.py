@@ -111,31 +111,6 @@ def bilinear_weight_map(
     return i0, i1, frac
 
 
-def interp_time(
-    values: np.ndarray, t_src: np.ndarray, t_dst: np.ndarray
-) -> np.ndarray:
-    """Piecewise-linear interpolation along the last axis.
-
-    ``values`` holds samples at strictly increasing ``t_src`` in its last
-    axis. Queries outside the source span raise; there is no silent
-    extrapolation. Exact (bitwise) at source times.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    t_src = np.asarray(t_src, dtype=np.float64)
-    t_dst = np.asarray(t_dst, dtype=np.float64)
-    if t_src.ndim != 1 or t_src.size < 1:
-        raise ShapeError("source times must be a nonempty 1-D vector")
-    if values.shape[-1] != t_src.size:
-        raise ShapeError(
-            f"last axis of values ({values.shape[-1]}) must match source times ({t_src.size})"
-        )
-    if np.any(np.diff(t_src) <= 0):
-        raise ValidationError("source times must be strictly increasing")
-    if t_src.size == 1 and np.array_equal(t_dst, t_src):
-        return values.copy()
-    return interp_segments(values, *interp_weights(t_src, t_dst))
-
-
 def interp_weights(t_src: np.ndarray, t_dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment ``seg`` and upper weight ``w`` of each query time.
 

@@ -38,14 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from . import solvers
-from .codec import Reader, decode_name, dump_f64, utf8_bytes, write_atomic
-from .errors import (
-    AlignmentError,
-    CoverageError,
-    FormatError,
-    StorageError,
-    ValidationError,
-)
+from .codec import (Reader, decode_name, dump_f64, read_file, read_text, stored, utf8_bytes,
+                    write_atomic)
+from .errors import AlignmentError, CoverageError, FormatError, ValidationError
 from .lifting import SPATIAL_MODES, LiftSpec, _lift_blocks, lift_project, reduced_stencil
 from .mflstm import LstmModel, lstm_from_bytes, lstm_to_bytes, predict, train
 from .numerics import Grid2D
@@ -168,18 +163,17 @@ class EvalReport:
         """Pool the columns of one or more ``to_csv`` files; timings are NaN."""
         rows = []
         for path in paths:
-            csv_path = Path(path)
-            if not csv_path.is_file():
-                raise ValidationError(f"report file not found: {csv_path}")
-            lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
+            lines = read_text(path, "report").strip().splitlines()
             if not lines or lines[0].split(",")[:4] != _CSV_HEADER:
-                raise ValidationError(f"{csv_path} is not an evaluation report CSV")
+                raise ValidationError(f"{path} is not an evaluation report CSV")
             for line in lines[1:]:
                 try:
-                    mu, t, emf, elf = (float(x) for x in line.split(",")[:4])
-                except ValueError as exc:
-                    raise ValidationError(f"{csv_path}: malformed row {line!r}") from exc
-                rows.append((mu, t, emf, elf))
+                    row = [float(x) for x in line.split(",")[:4]]
+                except ValueError:
+                    row = []
+                if len(row) != 4 or not np.all(np.isfinite(row)):
+                    raise ValidationError(f"{path}: malformed row {line!r}")
+                rows.append(row)
         if not rows:
             raise ValidationError("no report rows found")
         arr = np.asarray(rows)
@@ -464,9 +458,7 @@ def _basis_to_bytes(basis: PodBasis) -> bytes:
 
 
 def _basis_from_bytes(buf) -> PodBasis:
-    reader = Reader(buf, "basis")
-    if reader.take(8) != _BASIS_MAGIC:
-        raise FormatError("bad basis block magic")
+    reader = Reader(buf, "basis", _BASIS_MAGIC)
     n_dof, n_pod, n_sigma, n_grid, n_fields, has_mean, has_eps = reader.u32(7)
     if n_pod < 1 or n_dof != n_fields * n_grid**2:
         raise FormatError(
@@ -508,9 +500,7 @@ def _lift_to_bytes(spec: LiftSpec) -> bytes:
 
 
 def _lift_from_bytes(buf) -> LiftSpec:
-    reader = Reader(buf, "lift spec")
-    if reader.take(8) != _LIFT_MAGIC:
-        raise FormatError("bad lift block magic")
+    reader = Reader(buf, "lift spec", _LIFT_MAGIC)
     mode, src_n, dst_n, n_times = reader.u32(4)
     src_l, dst_l = reader.f64(2)
     times = reader.f64_array(n_times)
@@ -558,9 +548,7 @@ def _provenance_to_bytes(prov: Provenance) -> bytes:
 
 
 def _provenance_from_bytes(buf) -> Provenance:
-    reader = Reader(buf, "provenance")
-    if reader.take(8) != _PROV_MAGIC:
-        raise FormatError("bad provenance block magic")
+    reader = Reader(buf, "provenance", _PROV_MAGIC)
     problem = reader.utf8()
     hf_profile = _profile_from_reader(reader)
     lf_profile = _profile_from_reader(reader)
@@ -586,21 +574,13 @@ def save_model(model: SurrogateModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> SurrogateModel:
     """Load a surrogate written by ``save_model``; never returns a partial model."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise StorageError(f"cannot read model from {path}: {exc}") from exc
-    reader = Reader(raw, "surrogate container")
-    if reader.take(8) != SURROGATE_MAGIC:
-        raise FormatError("bad surrogate file magic")
+    reader = Reader(read_file(path, "model"), "surrogate container", SURROGATE_MAGIC)
     blocks = [reader.take(reader.u64()) for _ in range(4)]
     reader.done()
-    try:
+    with stored(f"model {path}"):
         return SurrogateModel(
             basis=_basis_from_bytes(blocks[0]),
             lift_spec=_lift_from_bytes(blocks[1]),
             lstm=lstm_from_bytes(blocks[2]),
             provenance=_provenance_from_bytes(blocks[3]),
         )
-    except ValidationError as exc:  # a value its type rejects is a forged file
-        raise FormatError(f"model {path}: {exc}") from exc

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Reader, decode_name, dump_f64, utf8_bytes, write_atomic
+from .codec import Reader, decode_name, dump_f64, stored, utf8_bytes, write_atomic
 from .errors import DataError, FormatError, ShapeError, StorageError, ValidationError
 from .numerics import Grid2D
 
@@ -167,10 +167,7 @@ def read_snapshots(path: str | Path) -> SnapshotSet:
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            header = Reader(fh.read(HEADER_SIZE), "MFSNAP header")
-            magic = bytes(header.take(8))
-            if magic != MAGIC:
-                raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            header = Reader(fh.read(HEADER_SIZE), "MFSNAP header", MAGIC)
             n_dof, n_t, n_mu, p, n_grid, field_count, fid_code = header.u32(7)
             fidelity = decode_name(fid_code, FIDELITIES, "fidelity")
             least = mfsnap_file_size(n_dof, n_t, n_mu, p, ()) + 4 * field_count
@@ -189,7 +186,7 @@ def read_snapshots(path: str | Path) -> SnapshotSet:
             payload = Reader(fh.read(payload_size), "MFSNAP payload").take(payload_size)
     except OSError as exc:
         raise StorageError(f"cannot read snapshots from {path}: {exc}") from exc
-    try:
+    with stored(f"snapshots {path}"):
         return SnapshotSet(
             fidelity=fidelity,
             data=np.frombuffer(payload, dtype="<f8").reshape((n_dof, n_mu * n_t), order="F"),
@@ -198,10 +195,6 @@ def read_snapshots(path: str | Path) -> SnapshotSet:
             params=params,
             field_names=names,
         )
-    except DataError:  # non-finite values are bad data, not a forged layout
-        raise
-    except ValidationError as exc:  # a value its type rejects is a forged file
-        raise FormatError(f"snapshots {path}: {exc}") from exc
 
 
 def ingest_external(

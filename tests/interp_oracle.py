@@ -1,8 +1,9 @@
-"""Field-by-field spatial interpolation, the oracle the lift is checked against.
+"""Field-by-field interpolation oracles the lift is checked against.
 
 ``lifting.lift`` interpolates whole snapshot blocks through a flat gather
-stencil; this interpolates one (n, n) field with index meshes, straight from
-the per-axis maps in ``numerics``.
+stencil and one set of time weights. ``interp_space`` interpolates one
+(n, n) field with index meshes, straight from the per-axis maps in
+``numerics``; ``interp_time`` interpolates one row at a time with ``np.interp``.
 """
 
 import numpy as np
@@ -37,3 +38,11 @@ def interp_space(
             + fx * fy * src[np.ix_(i1, i1)]
         )
     raise ValidationError(f"unknown interpolation mode {mode!r}")
+
+
+def interp_time(values: np.ndarray, t_src: np.ndarray, t_dst: np.ndarray) -> np.ndarray:
+    """Piecewise-linear interpolation along the last axis, one row at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = values.reshape(-1, values.shape[-1])
+    out = np.array([np.interp(t_dst, t_src, row) for row in rows])
+    return out.reshape(values.shape[:-1] + (len(t_dst),))

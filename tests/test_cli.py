@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from mfpod import errors
 from mfpod.cli import main
 from mfpod.snapshots import read_snapshots
 
@@ -61,6 +63,48 @@ def test_generate_missing_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x.mfsnap")])
     assert code == 2
     assert str(missing) in capsys.readouterr().err
+
+
+def test_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    code = main(["generate", "--config", str(tmp_path), "--fidelity", "hf",
+                 "--out", str(tmp_path / "x.mfsnap")])
+    assert code == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_train_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"problem": "\xff"}')
+    code = main(["train", "--config", str(cfg), "--hf", str(tmp_path / "hf.mfsnap"),
+                 "--lf", str(tmp_path / "lf.mfsnap"), "--out", str(tmp_path / "m.mfsurr")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(cfg) in err
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 200_000 + "]" * 200_000)
+    code = main(["generate", "--config", str(cfg), "--fidelity", "hf",
+                 "--out", str(tmp_path / "x.mfsnap")])
+    assert code == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+# every class in mfpod.errors with the exit code main returns for it
+EXIT_CODES = {
+    "MfpodError": 2, "ValidationError": 2, "ShapeError": 2, "DataError": 2,
+    "AlignmentError": 2, "ExtrapolationError": 2, "StorageError": 2, "FormatError": 2,
+    "InstabilityError": 3, "TrainingError": 3, "CoverageError": 4,
+}
+
+
+def test_every_error_type_carries_its_exit_code():
+    classes = dict(inspect.getmembers(errors, inspect.isclass))
+    assert set(classes) == set(EXIT_CODES)
+    for name, cls in classes.items():
+        assert issubclass(cls, errors.MfpodError)
+        assert cls.exit_code == EXIT_CODES[name], name
 
 
 def test_generate_no_overwrite_exits_2(workspace):
@@ -418,12 +462,22 @@ def test_report_rejects_non_report_csv(tmp_path, capsys):
     assert main(["report", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("text", ["", "mu,t,err_mf_percent,err_lf_percent\n0.5,x,1,2\n"])
+@pytest.mark.parametrize("text", ["", "mu,t,err_mf_percent,err_lf_percent\n0.5,x,1,2\n",
+                                  "mu,t,err_mf_percent,err_lf_percent\n0.5,1,nan,2\n",
+                                  "mu,t,err_mf_percent,err_lf_percent\n0.5,1,1,inf\n"])
 def test_report_rejects_empty_or_malformed_csv(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     assert main(["report", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_report_non_utf8_csv_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"mu,t,err_mf_percent,err_lf_percent\n0.5,1.0,\xff,2.0\n")
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
 
 
 def test_report_reads_first_four_columns(workspace, tmp_path, capsys):

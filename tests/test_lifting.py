@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from interp_oracle import interp_space
+from interp_oracle import interp_space, interp_time
 from mfpod.errors import ExtrapolationError, ShapeError, ValidationError
 from mfpod.lifting import LiftSpec, _lift_blocks, lift, lift_project, reduced_stencil
-from mfpod.numerics import Grid2D, interp_time
+from mfpod.numerics import Grid2D
 from mfpod.pod import PodRule, build_basis
 from mfpod.snapshots import SnapshotSet
 from mfpod import presets
