@@ -5,24 +5,23 @@ Covers both problems (rd and sw, 16^2 high fidelity against 8^2 low
 fidelity), both lift modes and both basis kinds (raw and centred). For each
 combination it hashes the trained MFSURR file, the training history, the
 evaluate CSV and summary, an online prediction, the live and the reloaded
-stencil, the re-saved model, the static baseline's predictions and a seeded
-hyperparameter search; each problem adds its three MFSNAP files. Last come
-two ``reconstruct`` products on seeded coefficients at benchmark sizes
-(8192 rows x 9 modes x 801 columns and 4096 x 17 x 401), then the basis
-build's blocked Gram product and its panel product X @ V with 9 columns, on
-seeded 8192 x 603 and 8192 x 1203 snapshot matrices, and two low-fidelity
-trajectories on the 32^2 grid the online path solves on (sw at mu 2.3,
-dt 0.1, T 20; rd at three mu, dt 0.05, d 0.1, T 20). Then the LSTM kernels
-of a seeded hidden-64 layer at the benchmark's shapes: the loss and
-gradients of ``_sse_grads`` on training batches of 30 and 15 windows of 40
-steps, and the forward pass without cache on 3 and 1 sequences of 401
-steps, the held-out and ``predict`` shapes; and the blocked Gram product at
-1024 x 250 and 2048 x 500. The 16^2 runs never reach these kernels at such
-sizes. The gradient lines leave out the gate weight gradient: its one GEMM,
-(4H x TB) @ (TB x (H + D)), gives different bits under one and two OpenBLAS
-threads at these shapes, while the gate bias gradient sums every gate
-gradient of the backward pass without BLAS. One line per artifact,
-``sha256  name``, in a fixed order.
+stencil, the re-saved model and the static baseline's predictions; each
+problem adds its three MFSNAP files. Last come two ``reconstruct`` products
+on seeded coefficients at benchmark sizes (8192 rows x 9 modes x 801 columns
+and 4096 x 17 x 401), then the basis build's blocked Gram product and its
+panel product X @ V with 9 columns, on seeded 8192 x 603 and 8192 x 1203
+snapshot matrices, and two low-fidelity trajectories on the 32^2 grid the
+online path solves on (sw at mu 2.3, dt 0.1, T 20; rd at three mu, dt 0.05,
+d 0.1, T 20). Then the LSTM kernels of a seeded hidden-64 layer at the
+benchmark's shapes: the loss and gradients of ``_sse_grads`` on training
+batches of 30 and 15 windows of 40 steps, and the forward pass without cache
+on 3 and 1 sequences of 401 steps, the held-out and ``predict`` shapes; and
+the blocked Gram product at 1024 x 250 and 2048 x 500. The 16^2 runs never
+reach these kernels at such sizes. The gradient lines leave out the gate
+weight gradient: its one GEMM, (4H x TB) @ (TB x (H + D)), gives different
+bits under one and two OpenBLAS threads at these shapes, while the gate bias
+gradient sums every gate gradient of the backward pass without BLAS. One
+line per artifact, ``sha256  name``, in a fixed order.
 
 A refactor meant to leave every output unchanged is checked by running the
 probe against two source trees and diffing the lines, e.g. from the root of
@@ -46,9 +45,10 @@ from pathlib import Path
 import numpy as np
 
 from mfpod import mflstm, pipeline, pod
-from mfpod.mflstm import TrainConfig, hyperparameter_search, predict, train_static_baseline
+from mfpod.lifting import lift_project
+from mfpod.mflstm import TrainConfig, predict, train_static_baseline
 from mfpod.numerics import Grid2D
-from mfpod.pod import CoefficientSeries, PodBasis, PodRule, reconstruct
+from mfpod.pod import CoefficientSeries, PodBasis, PodRule, project, reconstruct
 from mfpod.snapshots import ParameterGrid, write_snapshots
 from mfpod.solvers import FidelityProfile, generate_dataset
 
@@ -59,7 +59,6 @@ PROBLEMS = {
 }
 T_TRAIN, T_FINAL = 2.0, 3.0
 CFG = TrainConfig(hidden=8, k_window=8, n_batch=8, epochs=15, learning_rate=3e-3, seed=2)
-SPACE = {"hidden": [4, 8], "learning_rate": [1e-3, 3e-3]}
 # (fields, grid n, modes, columns) of the benchmark-size reconstructions
 PRODUCTS = [(2, 64, 9, 801), (1, 64, 17, 401)]
 # (rows, columns) of the benchmark-size snapshot matrices, and their retained modes
@@ -124,11 +123,9 @@ def artifacts(work: Path):
                 pipeline.save_model(loaded, work / "again")
                 yield f"{tag}/model.resaved", (work / "again").read_bytes()
 
-                data = pipeline.offline_prepare(hf, lf, rule, spatial_mode=lift)
-                static = train_static_baseline(data.coef_lf, data.coef_hf, CFG)
-                yield f"{tag}/static.predict", predict(static, data.coef_lf).coeffs
-                best = hyperparameter_search(SPACE, 3, data.coef_lf, data.coef_hf, CFG, seed=1)
-                yield f"{tag}/search", repr(best)
+                coef_lf = lift_project(lf, model.lift_spec, model.basis)
+                static = train_static_baseline(coef_lf, project(model.basis, hf), CFG)
+                yield f"{tag}/static.predict", predict(static, coef_lf).coeffs
 
     rng = np.random.default_rng(0)
     for n_fields, n, n_pod, n_cols in PRODUCTS:

@@ -27,7 +27,6 @@ from .mflstm import (
     Normalizer,
     StaticModel,
     TrainConfig,
-    hyperparameter_search,
     predict,
     train,
     train_static_baseline,

@@ -1,6 +1,6 @@
 """Command-line front end: config-driven, headless, plot-ready CSV output.
 
-Subcommands: generate, train, predict, evaluate, search, report. Runs are
+Subcommands: generate, train, predict, evaluate, report. Runs are
 driven by a JSON config (flags override config keys) so an experiment is
 reproducible from its manifest. Exit codes: 0 success, else the ``exit_code``
 of the ``MfpodError`` raised (2 input or file, 3 numerical, 4 data coverage).
@@ -26,7 +26,7 @@ import numpy as np
 from . import pipeline
 from .codec import read_text, write_atomic
 from .errors import MfpodError, ValidationError
-from .mflstm import TrainConfig, hyperparameter_search
+from .mflstm import TrainConfig
 from .pod import PodRule, project
 from .snapshots import ParameterGrid, read_snapshots, write_snapshots
 from .solvers import FidelityProfile, generate_dataset
@@ -38,8 +38,6 @@ def _declared(cls, *fixed: str) -> dict:
     return {f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
             for f in dataclass_fields(cls) if f.name not in fixed}
 
-
-_TRAIN_TYPES = _declared(TrainConfig)
 
 # a type is a scalar of that type, a dict an object of those keys, a
 # one-element list a nonempty list of that form, and a tuple (test_params
@@ -55,8 +53,7 @@ _SCHEMA = {
     "t_final": float,
     "pod": _declared(PodRule),
     "lift": {"spatial_mode": str},
-    "train": _TRAIN_TYPES,
-    "search": {"budget": int, "space": {key: [kind] for key, kind in _TRAIN_TYPES.items()}},
+    "train": _declared(TrainConfig),
 }
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -283,39 +280,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_search(args) -> int:
-    cfg = load_config(args.config)
-    section = _require(cfg, "search")
-    space = _require(section, "space")
-    if not isinstance(space, dict) or not space:
-        raise ValidationError("search.space must be a nonempty object of candidate lists")
-    data = pipeline.offline_prepare(
-        read_snapshots(args.hf),
-        read_snapshots(args.lf),
-        _section(cfg, "pod", PodRule),
-        **cfg.get("lift", {}),
-    )
-    best_cfg, trials = hyperparameter_search(
-        space,
-        int(section.get("budget", 4)),
-        data.coef_lf,
-        data.coef_hf,
-        base_cfg=_train_config(cfg),
-        seed=_seed(cfg),
-    )
-    _write_text(args.out, json.dumps({"train": dataclasses.asdict(best_cfg)}, indent=2) + "\n",
-                "best config")
-    if args.log:
-        keys = sorted({k for t in trials for k in t})
-        lines = [",".join(keys)]
-        for t in trials:
-            lines.append(",".join(repr(t.get(k, "")) for k in keys))
-        _write_text(args.log, "\n".join(lines) + "\n", "trial log")
-    best_loss = min(t["val_loss"] for t in trials)
-    print(f"ran {len(trials)} trials; best held-out loss {best_loss!r}; wrote {args.out}")
-    return 0
-
-
 def cmd_report(args) -> int:
     text = pipeline.EvalReport.from_csv(args.reports).summary()
     if args.out:
@@ -363,14 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--summary")
     ev.add_argument("--timing-reps", type=int, default=3)
     ev.set_defaults(func=cmd_evaluate)
-
-    se = sub.add_parser("search", help="hyperparameter search over train configs")
-    se.add_argument("--config", required=True)
-    se.add_argument("--hf", required=True)
-    se.add_argument("--lf", required=True)
-    se.add_argument("--out", required=True)
-    se.add_argument("--log", help="trial-log CSV path")
-    se.set_defaults(func=cmd_search)
 
     rp = sub.add_parser("report", help="aggregate evaluation CSVs into a summary")
     rp.add_argument("reports", nargs="+")

@@ -17,17 +17,17 @@ live on the model so that serialized models are self-contained.
 Training minimizes the mean squared 2-norm of the residual over all
 (time, parameter) samples with Adam over backpropagation-through-time
 gradients, computed on zero-initial-state subsequences of length
-``k_window``. The last 10% of every trajectory is held out; after the last
-epoch the weights of the epoch with the best held-out loss are copied back
-into the model. Everything is seeded and single-threaded: identical data,
-config, and seed give bit-identical weights.
+``k_window``. The model keeps the weights of its last epoch. The last 10%
+of every trajectory is held out of training, and its loss is recorded in the
+history; it observes training and selects nothing. Everything is seeded and
+single-threaded: identical data, config, and seed give bit-identical weights.
 
 The static baseline is a plain feed-forward network over [mu, low-fidelity
 coefficients] (no time input, no recurrence) mapping columns independently;
 with zero hidden layers it degenerates to linear regression.
 
 Both models train through one loop, ``_fit``: seeded shuffles, mini-batch
-Adam, the divergence check and best-held-out-weights tracking. Each model is
+Adam, the divergence check and the held-out loss record. Each model is
 built from its initial weights before training, and ``_fit`` updates the
 arrays ``_params`` lists in place. A model supplies only its features and a
 batch loss-and-gradient closure over ``_sse_grads`` (LSTM) or
@@ -57,9 +57,8 @@ of 30 windows, as the memory they fill costs more than the calls they save.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -434,18 +433,15 @@ def _fit(cfg: TrainConfig, rng, model: LstmModel | StaticModel, n_items: int,
     ``batch_sse_grads(idx)`` returns a batch's summed squared error and its
     gradients; an epoch's training loss is the summed error over ``n_terms``.
     ``val_loss`` (None when nothing is held out) runs every ``val_every``
-    epochs and after the last. After the last epoch, the values of the epoch
-    with the best held-out loss are copied back into the model's arrays; if
-    no held-out loss was finite, the final values stay. Returns the
-    (epoch, train, val) history.
+    epochs and after the last; it is recorded and selects nothing, so the
+    model leaves with its last epoch's values. Returns the (epoch, train,
+    val) history.
     """
     if val_every < 1:
         raise ValidationError(f"val_every must be >= 1, got {val_every}")
     params = _params(model)
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     n_steps = 0
-    best_val = np.inf
-    best = []
     history: list[tuple[int, float, float]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
@@ -469,12 +465,7 @@ def _fit(cfg: TrainConfig, rng, model: LstmModel | StaticModel, n_items: int,
             val = float("nan")
             if val_loss is not None and (epoch % val_every == 0 or epoch == cfg.epochs - 1):
                 val = val_loss()
-                if val < best_val:
-                    best_val = val
-                    best = [p.copy() for p in params]
             history.append((epoch, train_loss, val))
-    for p, b in zip(params, best):
-        p[...] = b
     return history
 
 
@@ -502,11 +493,14 @@ def train(
     """Fit the LSTM map from low- to high-fidelity coefficient sequences.
 
     The two series must be aligned column by column (same times, same
-    parameters). Returns the model with the weights of its best held-out
-    epoch; the per-epoch (train, validation) losses are on ``model.history``.
+    parameters). Returns the model with the weights of its last epoch. The
+    last 10% of every trajectory is held out: it trains nothing and fits no
+    normalizer. Its loss, in the units of the training loss, is only
+    observed, and ``model.history`` holds the per-epoch (epoch, train,
+    held-out) losses, NaN in epochs that skip the held-out pass.
 
-    Validation is a full-sequence forward pass over every parameter, run
-    every ``val_every`` epochs and after the last, and it is not cheap: on
+    The held-out pass is a full-sequence forward pass over every parameter,
+    run every ``val_every`` epochs and after the last, and it is not cheap: on
     a 3-parameter, 401-step set (40 epochs, hidden 64, one BLAS thread on
     a 2-vCPU Xeon VM) training took 0.96 s with ``val_every=1`` against
     0.49 s with ``val_every=40``, which validates after the first and the
@@ -555,7 +549,11 @@ def train_static_baseline(
     cfg: TrainConfig,
     val_every: int = 1,
 ) -> StaticModel:
-    """Fit the time-agnostic feed-forward baseline on independent columns."""
+    """Fit the time-agnostic feed-forward baseline on independent columns.
+
+    Trains by the rule of ``train``: the last epoch's weights, with the same
+    held-out tail observed every ``val_every`` epochs and after the last.
+    """
     layout, in_norm, out_norm, x_all, y_all, n_train_t = _samples(lf, hf, with_time=False)
     # every (parameter, time) column is one sample, on either side of the split
     xn, yn = (a[:, :n_train_t].reshape(-1, a.shape[2]) for a in (x_all, y_all))
@@ -629,67 +627,6 @@ def predict(
     n_mu, n_t = series.n_mu, series.n_t
     coeffs = out.reshape(n_mu, n_t, -1).transpose(2, 0, 1).reshape(-1, n_mu * n_t)
     return CoefficientSeries(coeffs=coeffs, times=series.times, params=series.params)
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter search
-# ---------------------------------------------------------------------------
-
-def hyperparameter_search(
-    space: dict[str, list],
-    budget: int,
-    lf: CoefficientSeries,
-    hf: CoefficientSeries,
-    base_cfg: TrainConfig = TrainConfig(),
-    seed: int = 0,
-) -> tuple[TrainConfig, list[dict]]:
-    """Train up to ``budget`` configs of the space, return the best by held-out loss.
-
-    ``space`` maps TrainConfig field names to candidate value lists; distinct
-    combinations of it are drawn with a seeded generator, so a budget of at
-    least the product's size trains every combination once. Diverging trials
-    are recorded with infinite loss rather than aborting the search.
-    """
-    if not space:
-        raise ValidationError("hyperparameter space must not be empty")
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
-    keys = sorted(space)
-    for key in keys:
-        if not hasattr(base_cfg, key):
-            raise ValidationError(f"unknown hyperparameter {key!r}")
-        if not space[key]:
-            raise ValidationError(f"empty candidate list for {key!r}")
-
-    # combination i of the product in itertools.product order, last key fastest
-    sizes = [len(space[k]) for k in keys]
-    total = math.prod(sizes)
-    picks = np.random.default_rng(seed).choice(total, min(budget, total), replace=False)
-    combos = [tuple(space[k][j] for k, j in zip(keys, np.unravel_index(i, sizes)))
-              for i in picks]
-
-    trials = []
-    best_idx = 0
-    best_loss = np.inf
-    for ti, combo in enumerate(combos):
-        overrides = dict(zip(keys, combo))
-        cfg = replace(base_cfg, **overrides)
-        record = {"trial": ti, **overrides}
-        try:
-            model = train(lf, hf, cfg)
-            vals = [v for _, _, v in model.history if np.isfinite(v)]
-            loss = min(vals) if vals else float("inf")
-            record["status"] = "ok"
-        except TrainingError as exc:
-            loss = float("inf")
-            record["status"] = f"diverged: {exc}"
-        record["val_loss"] = loss
-        trials.append(record)
-        if loss < best_loss:
-            best_loss = loss
-            best_idx = ti
-    best_cfg = replace(base_cfg, **dict(zip(keys, combos[best_idx])))
-    return best_cfg, trials
 
 
 # ---------------------------------------------------------------------------

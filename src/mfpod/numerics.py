@@ -11,11 +11,31 @@ module is safe to call concurrently.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ExtrapolationError, ShapeError, ValidationError
+
+
+def _physical_memory() -> int:
+    """The machine's physical memory in bytes; numpy's index limit where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return np.iinfo(np.intp).max
+
+
+def require_size(count, what: str) -> None:
+    """Check ``count`` float64 values as an array size before anything is
+    allocated: numpy must be able to index them, and their bytes must fit in
+    the machine's physical memory. Else a ``ValidationError``."""
+    if not count <= min(np.iinfo(np.intp).max, _physical_memory() // 8):
+        raise ValidationError(
+            f"{what} would hold more float64 values than numpy can index or "
+            f"{_physical_memory()} bytes of memory hold"
+        )
 
 
 @dataclass(frozen=True)
@@ -30,6 +50,7 @@ class Grid2D:
             raise ValidationError(f"grid size must be even and >= 4, got n={self.n}")
         if not (self.L > 0):
             raise ValidationError(f"grid half-length must be positive, got L={self.L}")
+        require_size(int(self.n) ** 2, f"a field on the {self.n}^2 grid")
 
     @property
     def spacing(self) -> float:

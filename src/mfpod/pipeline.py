@@ -6,9 +6,7 @@ high-fidelity resolution; both sets are projected onto the basis; and the
 recurrent map is trained on the aligned coefficient pairs. Online, a new
 parameter value costs one low-fidelity solve: its trajectory is lifted,
 projected, mapped through the network, and expanded back to full fields.
-The high-fidelity solver is never invoked online. ``offline_prepare`` runs
-the first three stages alone, for callers such as a hyperparameter search
-that train several networks on the same coefficients.
+The high-fidelity solver is never invoked online.
 
 Models persist as MFSURR files through ``codec``: they are written
 atomically, and a truncated, forged or corrupt file raises ``FormatError``.
@@ -201,39 +199,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-@dataclass
-class OfflineData:
-    """Offline stages 1-3: basis, lift recipe and both aligned coefficient series."""
-
-    basis: PodBasis
-    lift_spec: LiftSpec
-    coef_hf: CoefficientSeries
-    coef_lf: CoefficientSeries
-
-
-def offline_prepare(
-    hf: SnapshotSet,
-    lf: SnapshotSet,
-    pod_rule: PodRule,
-    spatial_mode: str = "bilinear",
-) -> OfflineData:
-    """Build the basis from HF alone, then project HF and lift-project LF onto it."""
-    if not np.array_equal(hf.params, lf.params):
-        raise AlignmentError(
-            "high- and low-fidelity sets must be sampled at the same parameters"
-        )
-    basis = build_basis(hf, pod_rule)
-    spec = LiftSpec(
-        spatial_mode=spatial_mode,
-        src_grid=lf.grid,
-        dst_grid=hf.grid,
-        dst_times=hf.times,
-    )
-    coef_hf = project(basis, hf)
-    coef_lf = lift_project(lf, spec, basis)
-    return OfflineData(basis, spec, coef_hf, coef_lf)
-
-
 def offline_train(
     hf: SnapshotSet,
     lf: SnapshotSet,
@@ -255,10 +220,16 @@ def offline_train(
         param_lo=float(hf.params[:, 0].min()),
         param_hi=float(hf.params[:, 0].max()),
     )
-    data = offline_prepare(hf, lf, pod_rule, spatial_mode)
-    lstm = train(data.coef_lf, data.coef_hf, train_cfg, val_every=val_every)
-    return SurrogateModel(basis=data.basis, lift_spec=data.lift_spec, lstm=lstm,
-                          provenance=provenance)
+    if not np.array_equal(hf.params, lf.params):
+        raise AlignmentError(
+            "high- and low-fidelity sets must be sampled at the same parameters"
+        )
+    basis = build_basis(hf, pod_rule)
+    spec = LiftSpec(spatial_mode=spatial_mode, src_grid=lf.grid, dst_grid=hf.grid,
+                    dst_times=hf.times)
+    lstm = train(lift_project(lf, spec, basis), project(basis, hf), train_cfg,
+                 val_every=val_every)
+    return SurrogateModel(basis=basis, lift_spec=spec, lstm=lstm, provenance=provenance)
 
 
 def prediction_times(model: SurrogateModel, T: float) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .codec import Reader, decode_name, dump_f64, stored, utf8_bytes, write_atomic
 from .errors import DataError, FormatError, ShapeError, StorageError, ValidationError
-from .numerics import Grid2D
+from .numerics import Grid2D, require_size
 
 MAGIC = b"MFSNAP01"
 HEADER_SIZE = 64
@@ -48,6 +48,7 @@ class ParameterGrid:
             raise ValidationError(f"parameter range requires lo < hi, got [{self.lo}, {self.hi}]")
         if self.count < 2:
             raise ValidationError(f"parameter grid needs at least 2 values, got {self.count}")
+        require_size(self.count, "the parameter grid")
 
     @property
     def values(self) -> np.ndarray:
@@ -57,6 +58,7 @@ class ParameterGrid:
         """``count`` cell-centered values; never coincide with grid nodes."""
         if count < 1:
             raise ValidationError(f"midpoint count must be >= 1, got {count}")
+        require_size(count, "the midpoints")
         step = (self.hi - self.lo) / count
         return self.lo + step * (0.5 + np.arange(count))
 

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import InstabilityError, ValidationError
-from .numerics import Grid2D
+from .numerics import Grid2D, require_size
 from .snapshots import FIDELITIES, ParameterGrid, SnapshotSet
 
 
@@ -65,8 +65,7 @@ class _RunChecks:
 
     def __post_init__(self):
         _check_step(self.n, self.dt, self.d)
-        if not (0 <= self.T < np.inf):
-            raise ValidationError(f"final time must be finite and nonnegative, got T={self.T}")
+        _step_count(self.T, self.dt)
         if not np.isfinite(self.mu):
             raise ValidationError(f"parameter mu must be finite, got mu={self.mu}")
 
@@ -116,25 +115,32 @@ class FidelityProfile:
         _check_step(self.n, self.dt, self.d)
 
 
-def time_grid(T: float, dt: float) -> np.ndarray:
-    """Snapshot times of a run over [0, T] at step ``dt``: round(T/dt) + 1 of them."""
+def _step_count(T: float, dt: float) -> int:
+    """round(T/dt) + 1, the snapshot count of a run over [0, T], checked as an array size."""
     if not (0 <= T < np.inf):
         raise ValidationError(f"final time must be finite and nonnegative, got T={T}")
-    return dt * np.arange(int(round(T / dt)) + 1)
+    require_size(T / dt + 1, f"the time grid of T={T} at dt={dt}")
+    return int(round(T / dt)) + 1
+
+
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """Snapshot times of a run over [0, T] at step ``dt``: round(T/dt) + 1 of them."""
+    return dt * np.arange(_step_count(T, dt))
 
 
 def rd_initial(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """Spiral-seed initial condition, identical for both components.
+    """One-armed spiral seed of the lambda-omega system.
 
-    u0 = v0 = tanh(r * cos(theta - r)) with r the radius and theta the
-    complex argument of x + iy (theta = 0 at the origin), evaluated
-    nodewise.
+    u0 = tanh(r) cos(theta - r) and v0 = tanh(r) sin(theta - r), with r the
+    radius and theta the complex argument of x + iy (theta = 0 at the
+    origin), evaluated nodewise: u0 + i v0 = tanh(r) exp(i (theta - r)),
+    whose phase winds once around the origin, so a single spiral forms.
     """
     X, Y = grid.meshes()
     r = np.sqrt(X**2 + Y**2)
-    theta = np.angle(X + 1j * Y)
-    u0 = np.tanh(r * np.cos(theta - r))
-    return u0, u0.copy()
+    phase = np.angle(X + 1j * Y) - r
+    amplitude = np.tanh(r)
+    return amplitude * np.cos(phase), amplitude * np.sin(phase)
 
 
 def sw_initial(grid: Grid2D) -> np.ndarray:
@@ -387,6 +393,8 @@ def generate_dataset(
     config, solve, field_names = _problem(problem)
     extra = {} if profile.d is None else {"d": profile.d}
     cfg = config(n=profile.n, T=T, mu=float(values[0]), dt=profile.dt, **extra)
+    n_dof = len(field_names) * int(profile.n) ** 2
+    require_size(n_dof * values.size * _step_count(T, profile.dt), "the snapshot matrix")
     times, data = solve(cfg, mus=values)
     return SnapshotSet(
         fidelity=profile.fidelity,

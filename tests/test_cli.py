@@ -147,20 +147,32 @@ def test_generate_rejects_unknown_config_key(tmp_path):
     {"test_params": {"count": 0}},
     {"train": {"hidden": "12"}},
     {"pod": {"n_modes": "4"}},
-    {"search": {"space": {"hidden": 5}}},
     {"paths": {"out_dir": "x"}},
     {"t_final": float("nan")},
     {"train": {"beta1": 0.9}},
-    {"search": {"space": {"adam_eps": [1e-8]}}},
-    {"search": {"mode": "grid", "space": {"hidden": [8]}}},
     {"hf": {"fidelity": "LF"}},
 ], ids=["hf.n-str", "hf.n-bool", "params.lo-str", "params-no-count", "test_params-str",
-        "test_params-count-0", "train.hidden-str", "pod.n_modes-str", "search.space-scalar",
-        "paths", "t_final-nan", "train.beta1", "search.space.adam_eps", "search.mode",
-        "hf.fidelity"])
+        "test_params-count-0", "train.hidden-str", "pod.n_modes-str", "paths", "t_final-nan",
+        "train.beta1", "hf.fidelity"])
 def test_generate_rejects_malformed_config_value(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     code = main(["generate", "--config", str(cfg), "--fidelity", "hf", "--role", "test",
+                 "--out", str(tmp_path / "x.mfsnap")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.mfsnap").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"hf": {"n": 10**30, "dt": 0.05, "d": 0.05}},
+    {"t_train": 1e300},
+    {"hf": {"n": 16, "dt": 1e-300, "d": 0.05}},
+    {"params": {"lo": 0.5, "hi": 1.5, "count": 10**12}},
+], ids=["hf.n", "t_train", "hf.dt", "params.count"])
+def test_generate_rejects_config_too_large_to_allocate(tmp_path, capsys, overrides):
+    # each size is checked in Python integers before any array exists
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    code = main(["generate", "--config", str(cfg), "--fidelity", "hf",
                  "--out", str(tmp_path / "x.mfsnap")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -494,8 +506,7 @@ def test_report_reads_first_four_columns(workspace, tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
-@pytest.mark.parametrize("command", ["report", "predict", "evaluate", "train",
-                                     "search-out", "search-log"])
+@pytest.mark.parametrize("command", ["report", "predict", "evaluate", "train"])
 def test_unwritable_text_output_exits_2(workspace, tmp_path, capsys, command):
     missing = str(tmp_path / "missing" / "out.txt")
     model, ref = str(workspace / "model.mfsurr"), str(workspace / "ref.mfsnap")
@@ -503,17 +514,10 @@ def test_unwritable_text_output_exits_2(workspace, tmp_path, capsys, command):
     assert main(["evaluate", "--model", model, "--reference", ref,
                  "--out", str(report), "--timing-reps", "0"]) == 0
     snaps = ["--hf", str(workspace / "hf.mfsnap"), "--lf", str(workspace / "lf.mfsnap")]
-    search_cfg = str(write_config(
-        tmp_path / "search.json",
-        search={"budget": 1, "space": {"hidden": [8]}},
-    ))
     argv = {
         "report": ["report", str(report), "--out", missing],
         "train": ["train", "--config", str(workspace / "cfg.json"), *snaps,
                   "--out", str(tmp_path / "m.mfsurr"), "--log", missing],
-        "search-out": ["search", "--config", search_cfg, *snaps, "--out", missing],
-        "search-log": ["search", "--config", search_cfg, *snaps,
-                       "--out", str(tmp_path / "best.json"), "--log", missing],
         "predict": ["predict", "--model", model, "--mu", "0.75", "--T", "1",
                     "--out", str(tmp_path / "p.mfsnap"), "--coef-csv", missing],
         "evaluate": ["evaluate", "--model", model, "--reference", ref,
@@ -524,36 +528,3 @@ def test_unwritable_text_output_exits_2(workspace, tmp_path, capsys, command):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "missing").exists()
-
-
-# ---------------------------------------------------------------------------
-# search
-# ---------------------------------------------------------------------------
-
-def test_search_writes_best_and_log(workspace, tmp_path):
-    cfg = write_config(
-        tmp_path / "search.json",
-        search={"budget": 2, "space": {"hidden": [8, 12], "learning_rate": [0.001, 0.003]}},
-    )
-    best = tmp_path / "best.json"
-    log = tmp_path / "trials.csv"
-    code = main(["search", "--config", str(cfg),
-                 "--hf", str(workspace / "hf.mfsnap"),
-                 "--lf", str(workspace / "lf.mfsnap"),
-                 "--out", str(best), "--log", str(log)])
-    assert code == 0
-    payload = json.loads(best.read_text())
-    assert payload["train"]["hidden"] in (8, 12)
-    assert len(log.read_text().splitlines()) == 3  # header + 2 trials
-
-
-def test_search_empty_space_exits_2(workspace, tmp_path):
-    cfg = write_config(
-        tmp_path / "search.json",
-        search={"budget": 2, "space": {}},
-    )
-    code = main(["search", "--config", str(cfg),
-                 "--hf", str(workspace / "hf.mfsnap"),
-                 "--lf", str(workspace / "lf.mfsnap"),
-                 "--out", str(tmp_path / "best.json")])
-    assert code == 2

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from mfpod.mflstm import (
     TrainConfig,
     _mlp_forward,
     _params,
-    hyperparameter_search,
     lstm_from_bytes,
     lstm_to_bytes,
     predict,
@@ -311,23 +309,27 @@ def test_divergent_learning_rate_raises_with_epoch():
         train(lf, hf, cfg)
 
 
-def test_validation_holdout_tracks_best_weights():
+@pytest.mark.parametrize("fit", [train, train_static_baseline])
+def test_training_returns_last_epoch_and_only_observes_the_holdout(fit):
+    # at this config the held-out loss is lowest before the last epoch, so a
+    # model that kept its best held-out epoch would fail both checks
     lf, hf = series_pair(n_mu=2, n_t=64, n_coef=2, seed=23)
     cfg = TrainConfig(hidden=12, k_window=16, n_batch=8, epochs=60,
                       learning_rate=2e-2, seed=3)
-    for fit in (train, train_static_baseline):
-        model = fit(lf, hf, cfg)
-        val_losses = [v for _, _, v in model.history]
-        assert np.all(np.isfinite(val_losses))
-        # final loss below initial (training actually progressed)
-        assert model.history[-1][1] < model.history[0][1]
-        # the first epoch with the lowest held-out loss, before the last one
-        best = int(np.argmin(val_losses))
-        assert best < cfg.epochs - 1
-        # the same seed stopped after that epoch ends on the restored weights
-        stopped = fit(lf, hf, replace(cfg, epochs=best + 1))
-        for restored, final in zip(_params(model), _params(stopped), strict=True):
-            assert restored.tobytes() == final.tobytes()
+    model = fit(lf, hf, cfg)
+    val_losses = [v for _, _, v in model.history]
+    assert np.all(np.isfinite(val_losses))
+    assert model.history[-1][1] < model.history[0][1]
+    assert int(np.argmin(val_losses)) < cfg.epochs - 1
+    # the held-out tail is the last 10% of each 64-step trajectory: 6 steps
+    n_tail = 6
+    resid = (predict(model, lf).coeffs - hf.coeffs).reshape(hf.n_pod, hf.n_mu, hf.n_t)
+    held_out = float((resid[:, :, -n_tail:] ** 2).sum()) / (n_tail * hf.n_mu)
+    assert held_out == pytest.approx(val_losses[-1], rel=1e-12, abs=0)
+    # how often the held-out loss is observed changes no weight
+    sparse = fit(lf, hf, cfg, val_every=7)
+    for every, seventh in zip(_params(model), _params(sparse), strict=True):
+        assert every.tobytes() == seventh.tobytes()
 
 
 @pytest.mark.parametrize("fit", [train, train_static_baseline])
@@ -362,8 +364,10 @@ def test_static_zero_hidden_layers_matches_least_squares():
     y = true_w[:, 1:] @ x + true_w[:, :1] * params[0, 0] + true_b[:, None]
     lf = CoefficientSeries(x, times, params)
     hf = CoefficientSeries(y, times, params)
+    # constant-step Adam keeps moving around an exact fit by about its step,
+    # so the last epoch lands within the bound at this rate, not at 2e-2
     cfg = TrainConfig(hidden=4, n_layers=0, k_window=30, n_batch=4,
-                      epochs=4000, learning_rate=2e-2, seed=0)
+                      epochs=4000, learning_rate=5e-3, seed=0)
     model = train_static_baseline(lf, hf, cfg)
     pred = predict(model, lf)
     # closed-form least squares on [mu, coefs, 1]
@@ -455,52 +459,3 @@ def test_lstm_deserialization_rejects_corruption():
         lstm_from_bytes(b"XXXXXXXX" + blob[8:])
     with pytest.raises(FormatError):
         lstm_from_bytes(blob[:-4])
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter search
-# ---------------------------------------------------------------------------
-
-def test_search_budget_one_returns_single_config():
-    lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2, seed=34)
-    base = TrainConfig(hidden=8, k_window=8, epochs=5, seed=0)
-    best, trials = hyperparameter_search({"hidden": [6]}, 1, lf, hf, base)
-    assert best.hidden == 6
-    assert len(trials) == 1 and trials[0]["status"] == "ok"
-
-
-def test_search_prefers_converging_config():
-    lf, hf = series_pair(n_mu=2, n_t=48, n_coef=2, seed=35)
-    base = TrainConfig(hidden=12, k_window=12, n_batch=8, epochs=60, seed=0)
-    space = {"learning_rate": [3e-3, 10.0]}
-    best, trials = hyperparameter_search(space, 4, lf, hf, base, seed=1)
-    assert best.learning_rate == 3e-3
-    losses = {t["learning_rate"]: t["val_loss"] for t in trials}
-    assert losses[3e-3] < losses[10.0]
-
-
-def test_search_same_seed_same_selection():
-    lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2, seed=36)
-    base = TrainConfig(hidden=8, k_window=8, epochs=5, seed=0)
-    space = {"hidden": [4, 8, 12], "learning_rate": [1e-3, 3e-3]}
-    first = hyperparameter_search(space, 3, lf, hf, base, seed=9)
-    second = hyperparameter_search(space, 3, lf, hf, base, seed=9)
-    assert first[0] == second[0]
-    assert first[1] == second[1]
-
-
-def test_random_search_trains_each_combination_once():
-    lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2, seed=37)
-    base = TrainConfig(hidden=8, k_window=8, epochs=2, seed=0)
-    space = {"hidden": [4, 8], "learning_rate": [1e-3, 3e-3]}
-    _, trials = hyperparameter_search(space, 8, lf, hf, base, seed=0)
-    combos = {(t["hidden"], t["learning_rate"]) for t in trials}
-    assert len(trials) == 4 and len(combos) == 4
-
-
-def test_search_rejects_empty_space():
-    lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2)
-    with pytest.raises(ValidationError):
-        hyperparameter_search({}, 1, lf, hf, TrainConfig())
-    with pytest.raises(ValidationError):
-        hyperparameter_search({"hidden": [4]}, 0, lf, hf, TrainConfig())

@@ -39,12 +39,13 @@ def test_rd_initial_zero_at_origin():
 
 def test_rd_initial_on_positive_x_axis():
     grid = Grid2D(8, 20.0)
-    u0, _ = rd_initial(grid)
+    u0, v0 = rd_initial(grid)
     x = grid.coords()
     i0 = 4
     for i in range(i0 + 1, 8):
         r = x[i]
-        assert u0[i, i0] == pytest.approx(math.tanh(r * math.cos(r)), abs=1e-14)
+        assert u0[i, i0] == pytest.approx(math.tanh(r) * math.cos(r), abs=1e-14)
+        assert v0[i, i0] == pytest.approx(-math.tanh(r) * math.sin(r), abs=1e-14)
 
 
 def test_rd_initial_matches_scalar_oracle_pointwise():
@@ -55,10 +56,24 @@ def test_rd_initial_matches_scalar_oracle_pointwise():
         for j in range(10):
             x, y = coords[i], coords[j]
             r = math.hypot(x, y)
-            theta = math.atan2(y, x)
-            expected = math.tanh(r * math.cos(theta - r))
-            assert u0[i, j] == pytest.approx(expected, abs=1e-13)
-    assert np.array_equal(u0, v0)
+            phase = math.atan2(y, x) - r
+            assert u0[i, j] == pytest.approx(math.tanh(r) * math.cos(phase), abs=1e-13)
+            assert v0[i, j] == pytest.approx(math.tanh(r) * math.sin(phase), abs=1e-13)
+
+
+def test_rd_initial_phase_winds_once_around_the_origin():
+    # the square ring of nodes 3 steps from the origin node, counterclockwise;
+    # at 64^2 the phase of u0 + i v0 moves less than pi/2 between neighbours,
+    # so the summed steps count its turns without ambiguity
+    n, k = 64, 3
+    u0, v0 = rd_initial(Grid2D(n, 20.0))
+    c = n // 2
+    ring = ([(c + k, c + j) for j in range(-k, k)] + [(c + i, c + k) for i in range(k, -k, -1)]
+            + [(c - k, c + j) for j in range(k, -k, -1)] + [(c + i, c - k) for i in range(-k, k)])
+    z = np.array([u0[i, j] + 1j * v0[i, j] for i, j in ring])
+    steps = np.angle(np.roll(z, -1) / z)
+    assert np.abs(steps).max() < np.pi / 2
+    assert steps.sum() / (2 * np.pi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sw_initial_stretched_gaussian():
@@ -379,8 +394,10 @@ def test_generate_single_parameter_t0_returns_initial_condition():
     assert snaps.n_t == 1 and snaps.n_mu == 1
     grid = Grid2D(8, 20.0)
     u0, v0 = rd_initial(grid)
-    assert_allclose(snaps.data[:64, 0], u0.ravel(order="F"), atol=0)
-    assert_allclose(snaps.data[64:, 0], v0.ravel(order="F"), atol=0)
+    # the stored state is the IC after an rfft2/irfft2 round trip, whose error
+    # is absolute: about 4 ulp of max |u0| = 1, while v0 has entries near 0
+    assert_allclose(snaps.data[:64, 0], u0.ravel(order="F"), rtol=0, atol=1e-15)
+    assert_allclose(snaps.data[64:, 0], v0.ravel(order="F"), rtol=0, atol=1e-15)
 
 
 def test_generate_parameter_major_ordering_and_determinism():
