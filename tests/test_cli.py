@@ -189,6 +189,14 @@ def test_generate_problem_flag_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "x.mfsnap").exists()
 
 
+def test_search_is_an_unknown_subcommand(capsys):
+    # training keeps its last epoch, so nothing ranks configs by held-out loss
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'search'" in capsys.readouterr().err
+
+
 def test_config_accepts_int_where_float_declared(tmp_path):
     from mfpod.cli import load_config
 

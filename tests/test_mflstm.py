@@ -333,6 +333,16 @@ def test_training_returns_last_epoch_and_only_observes_the_holdout(fit):
 
 
 @pytest.mark.parametrize("fit", [train, train_static_baseline])
+def test_holdout_loss_observed_every_val_every_epochs_and_after_the_last(fit):
+    lf, hf = series_pair(n_mu=2, n_t=32, n_coef=2, seed=24)
+    cfg = TrainConfig(hidden=4, k_window=8, n_batch=4, epochs=20, seed=1)
+    model = fit(lf, hf, cfg, val_every=7)
+    assert [epoch for epoch, _, _ in model.history] == list(range(20))
+    observed = [epoch for epoch, _, val in model.history if not math.isnan(val)]
+    assert observed == [0, 7, 14, 19]
+
+
+@pytest.mark.parametrize("fit", [train, train_static_baseline])
 @pytest.mark.parametrize("val_every", [0, -1])
 def test_val_every_below_one_rejected(fit, val_every):
     lf, hf = series_pair(n_t=32)

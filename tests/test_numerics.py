@@ -8,9 +8,11 @@ from interp_oracle import interp_space
 from mfpod.errors import DataError, ExtrapolationError, ValidationError
 from mfpod.numerics import (
     Grid2D,
+    _physical_memory,
     interp_segments,
     interp_weights,
     nearest_index_map,
+    require_size,
     thin_svd,
 )
 
@@ -32,6 +34,21 @@ def test_grid_nodes_and_spacing():
 def test_grid_rejects_odd_or_tiny(n):
     with pytest.raises(ValidationError):
         Grid2D(n, 1.0)
+
+
+def test_require_size_bounds_index_and_memory():
+    require_size(1, "one value")
+    limit = min(np.iinfo(np.intp).max, _physical_memory() // 8)
+    require_size(limit, "the largest allowed array")
+    for count in (limit + 1, np.iinfo(np.intp).max + 1, 10**30, float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            require_size(count, "too many values")
+
+
+def test_grid_rejects_size_numpy_cannot_index():
+    # n^2 = 4e30 points: checked in Python integers, nothing is allocated
+    with pytest.raises(ValidationError, match="grid"):
+        Grid2D(2 * 10**15, 1.0)
 
 
 def _direct_dft(field: np.ndarray) -> np.ndarray:

@@ -48,6 +48,13 @@ def test_parameter_grid_validation():
         ParameterGrid(0.0, 1.0, 1)
 
 
+def test_parameter_grid_rejects_counts_numpy_cannot_index():
+    with pytest.raises(ValidationError, match="parameter grid"):
+        ParameterGrid(0.5, 1.5, 10**19)
+    with pytest.raises(ValidationError, match="midpoints"):
+        ParameterGrid(0.5, 1.5, 3).midpoints(10**19)
+
+
 def test_column_ordering_contract():
     n_mu, n_t = 3, 4
     data = np.arange(2 * n_mu * n_t, dtype=float).reshape(2, n_mu * n_t)

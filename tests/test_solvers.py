@@ -21,6 +21,7 @@ from mfpod.solvers import (
     solve_rd,
     solve_sw,
     sw_initial,
+    time_grid,
 )
 from mfpod import presets
 
@@ -460,6 +461,21 @@ def test_solver_checks_given_parameter_values(solve, cfg, mus):
 def test_generate_rejects_bad_parameter_values(mus):
     with pytest.raises(ValidationError):
         generate_dataset("rd", FidelityProfile("LF", 8, 0.1), np.array(mus), 0.1)
+
+
+@pytest.mark.parametrize("T, dt", [(1e300, 0.05), (1.0, 1e-300)], ids=["T", "dt"])
+def test_time_grid_rejects_step_counts_numpy_cannot_index(T, dt):
+    assert_allclose(time_grid(1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=0)
+    with pytest.raises(ValidationError, match="time grid"):
+        time_grid(T, dt)
+
+
+def test_generate_checks_snapshot_matrix_size_before_solving():
+    # grid, step count and parameter count are each small, but together they
+    # ask for 2 * 64^2 * 1000 * (10^6 + 1) values, about 65 TB
+    profile = FidelityProfile("LF", 64, 1e-6)
+    with pytest.raises(ValidationError, match="snapshot matrix"):
+        generate_dataset("rd", profile, np.linspace(0.5, 1.5, 1000), 1.0)
 
 
 def test_generate_rejects_unknown_problem():
