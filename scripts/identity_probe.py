@@ -14,8 +14,8 @@ snapshot matrices, and two low-fidelity trajectories on the 32^2 grid the
 online path solves on (sw at mu 2.3, dt 0.1, T 20; rd at three mu, dt 0.05,
 d 0.1, T 20). Then the LSTM kernels of a seeded hidden-64 layer at the
 benchmark's shapes: the loss and gradients of ``_sse_grads`` on training
-batches of 30 and 15 windows of 40 steps, and the forward pass without cache
-on 3 and 1 sequences of 401 steps, the held-out and ``predict`` shapes; and
+batches of 30 and 15 windows of 40 steps, and ``predict`` with unit
+normalizers on 3 and 1 sequences of 401 steps, the held-out shapes; and
 the blocked Gram product at 1024 x 250 and 2048 x 500. The 16^2 runs never
 reach these kernels at such sizes. The gradient lines leave out the gate
 weight gradient: its one GEMM, (4H x TB) @ (TB x (H + D)), gives different
@@ -72,7 +72,7 @@ TRAJECTORIES = [
 T_TRAJECTORY = 20.0
 # (hidden, features, outputs) of the benchmark-size LSTM layer: t, mu and 9 modes
 LSTM_DIMS = (64, 11, 9)
-# (steps, batch) of the training batches and of the forward passes without cache
+# (steps, batch) of the training batches and of the predict calls
 GRAD_SHAPES = [(40, 30), (40, 15)]
 FORWARD_SHAPES = [(401, 3), (401, 1)]
 # (rows, columns) of the Gram products whose widths end in panels of 128 and 192
@@ -161,9 +161,17 @@ def artifacts(work: Path):
             sse, (_, d_b, d_w_out, d_b_out) = mflstm._sse_grads([layer], readout, scale_sq, x, y)
             yield (f"lstm/sse_grads/{n_steps}x{n_batch}",
                    np.concatenate([[sse], d_b, d_w_out.ravel(), d_b_out]))
+        unit = [mflstm.Normalizer(np.zeros(n), np.ones(n)) for n in (n_in, n_out)]
+        model = mflstm.LstmModel([layer], *readout, *unit,
+                                 mflstm.FeatureLayout(with_time=True, n_params=1, n_coef=n_out))
         for n_steps, n_batch in FORWARD_SHAPES:
+            # features [t, mu, coefficients]: the draws give each sequence its
+            # mu and every step its coefficients; t spans a z-scored uniform grid
             x = rng.standard_normal((n_steps, n_batch, n_in))
-            yield f"lstm/forward/{n_steps}x{n_batch}", mflstm._forward_stacked([layer], readout, x)[0]
+            series = CoefficientSeries(x[..., 2:].transpose(2, 1, 0).reshape(n_out, -1),
+                                       np.linspace(-np.sqrt(3), np.sqrt(3), n_steps),
+                                       x[0, :, 1:2])
+            yield f"lstm/forward/{n_steps}x{n_batch}", predict(model, series).coeffs
     if hasattr(pod, "_gram"):
         for m, n in GRAM_SHAPES:
             yield f"gram/{m}x{n}", pod._gram(np.asfortranarray(rng.standard_normal((m, n))))

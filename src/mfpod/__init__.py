@@ -25,7 +25,6 @@ from .mflstm import (
     LstmLayerWeights,
     LstmModel,
     Normalizer,
-    StaticModel,
     TrainConfig,
     predict,
     train,

@@ -53,7 +53,7 @@ _SCHEMA = {
     "t_final": float,
     "pod": _declared(PodRule),
     "lift": {"spatial_mode": str},
-    "train": _declared(TrainConfig),
+    "train": _declared(TrainConfig, "seed"),
 }
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -91,10 +91,8 @@ def _check_value(value, schema, where: str) -> None:
             raise ValidationError(f"{where} must be {_TYPE_NAMES[schema]}, got {value!r}")
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str) -> dict:
     """Load and schema-validate a JSON run config; unknown keys and mistyped values fail."""
-    if path is None:
-        return {}
     try:
         cfg = json.loads(read_text(path, "config"))
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -141,10 +139,7 @@ def _seed(cfg: dict) -> int:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    section = dict(cfg.get("train", {}))
-    if "seed" not in section or os.environ.get("MFPOD_SEED") is not None:
-        section["seed"] = _seed(cfg)
-    return TrainConfig(**section)
+    return TrainConfig(**cfg.get("train", {}), seed=_seed(cfg))
 
 
 def _test_values(cfg: dict) -> np.ndarray:

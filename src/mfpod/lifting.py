@@ -185,8 +185,11 @@ def reduced_stencil(basis: PodBasis, spec: LiftSpec) -> np.ndarray:
             f"basis rows ({basis.n_dof}) are not field_count * n_dst^2 "
             f"({n_fields} * {spec.dst_grid.n}^2)"
         )
+    # the gather refuses a source finer than the basis grid before R, a row
+    # per source entry, is allocated
+    gather = _flat_gather(spec, n_fields)
     reduced = np.zeros((n_fields * spec.src_grid.n**2, basis.n_pod), dtype=np.float64)
-    for ik, wk in zip(*_flat_gather(spec, n_fields)):
+    for ik, wk in zip(*gather):
         np.add.at(reduced, ik, wk[:, None] * basis.modes)
     return reduced
 

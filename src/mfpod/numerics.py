@@ -105,8 +105,7 @@ def _periodic_positions(src_grid: Grid2D, dst_grid: Grid2D) -> np.ndarray:
         )
     if dst_grid.n < src_grid.n:
         raise ValidationError(
-            f"destination grid must be at least as fine as the source "
-            f"(n_dst={dst_grid.n} < n_src={src_grid.n})"
+            f"source grid is finer than the destination (n_src={src_grid.n} > n_dst={dst_grid.n})"
         )
     return (dst_grid.coords() + src_grid.L) / src_grid.spacing
 

@@ -212,19 +212,23 @@ def ingest_external(
 
     The payload must be column-major float64 of shape n_dof x (n_mu * n_t)
     in parameter-major column order; this is how third-party solver output
-    (e.g. finite-element fields) enters the pipeline.
+    (e.g. finite-element fields) enters the pipeline. The file's size is
+    checked against that shape before it is read.
     """
+    if n_dof < 1:
+        raise ValidationError(f"declared n_dof must be positive, got {n_dof}")
+    # in Python integers, and before the read, so a mis-sized payload is
+    # never loaded
+    expected = 8 * int(n_dof) * len(params) * int(np.size(times))
     try:
+        size = os.path.getsize(data_path)
+        if size != expected:
+            raise ShapeError(
+                f"payload holds {size} bytes, expected 8*n_dof*n_mu*n_t = {expected}"
+            )
         raw = np.fromfile(data_path, dtype="<f8")
     except OSError as exc:
         raise StorageError(f"cannot read payload from {data_path}: {exc}") from exc
-    if n_dof < 1:
-        raise ValidationError(f"declared n_dof must be positive, got {n_dof}")
-    expected = n_dof * len(params) * np.size(times)
-    if raw.size != expected:
-        raise ShapeError(
-            f"payload holds {raw.size} values, expected n_dof*n_mu*n_t = {expected}"
-        )
     return SnapshotSet(
         fidelity=fidelity,
         data=raw.reshape((n_dof, -1), order="F"),

@@ -15,11 +15,13 @@ from mfpod.mflstm import _forward_stacked, _mlp_forward, _mlp_sse_grads, _sse_gr
 def sequence_loss(model, x, y):
     """Mean squared 2-norm of the residual in physical coefficient units.
 
-    ``x`` and ``y`` are normalized (T, B, .) arrays; the residual is scaled
-    back by the output stddev, as in training.
+    ``x`` and ``y`` are normalized (T, B, .) arrays; the LSTM stack runs over
+    them, then the head over its top hidden states, and the residual is
+    scaled back by the output stddev, as in training.
     """
-    y_pred, _ = _forward_stacked(model.layers, (model.w_out, model.b_out), x)
-    resid = (y_pred - y) * model.output_norm.std
+    hidden, _ = _forward_stacked(model.layers, x)
+    y_pred, _ = _mlp_forward(model.head, hidden.reshape(-1, hidden.shape[2]))
+    resid = (y_pred - y.reshape(y_pred.shape)) * model.output_norm.std
     return float((resid**2).sum() / (x.shape[0] * x.shape[1]))
 
 
@@ -72,7 +74,7 @@ def mlp_finite_difference_worst_error(weights, scale_sq, x, y, step=1e-6):
     ``x`` and ``y`` are normalized (N, .) arrays; the loss is the mean over N
     of the squared residual weighted by ``scale_sq``, as in training.
     """
-    _, grads = _mlp_sse_grads(weights, scale_sq, x, y)
+    _, grads, _ = _mlp_sse_grads(weights, scale_sq, x, y)
 
     def loss():
         pred, _ = _mlp_forward(weights, x)

@@ -150,10 +150,11 @@ def test_generate_rejects_unknown_config_key(tmp_path):
     {"paths": {"out_dir": "x"}},
     {"t_final": float("nan")},
     {"train": {"beta1": 0.9}},
+    {"train": {"seed": 1}},
     {"hf": {"fidelity": "LF"}},
 ], ids=["hf.n-str", "hf.n-bool", "params.lo-str", "params-no-count", "test_params-str",
         "test_params-count-0", "train.hidden-str", "pod.n_modes-str", "paths", "t_final-nan",
-        "train.beta1", "hf.fidelity"])
+        "train.beta1", "train.seed", "hf.fidelity"])
 def test_generate_rejects_malformed_config_value(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     code = main(["generate", "--config", str(cfg), "--fidelity", "hf", "--role", "test",

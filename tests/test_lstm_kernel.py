@@ -7,7 +7,9 @@ The reference is the textbook form of the recurrence: per step, concatenate
 activations into one tanh pass and form the weight gradients after the loop;
 they must agree with the reference to rounding. They keep the gates
 gate-major, (T, 4, B, H), and must equal bit for bit the same kernels with
-the gates batch-major, (T, B, 4H), copied below as a second reference.
+the gates batch-major, (T, B, 4H), copied below as a second reference. The
+kernels run the LSTM stack only; the readout is the head's
+``_mlp_forward``, applied here to the stack's top hidden states.
 """
 
 import warnings
@@ -15,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfpod.mflstm import LstmLayerWeights, _forward_stacked, _sse_grads
+from mfpod.mflstm import LstmLayerWeights, _forward_stacked, _mlp_forward, _sse_grads
 
 
 def logistic(x):
@@ -101,6 +103,13 @@ def reference_sse_grads(layers, readout, scale_sq, x, y):
     return sse, [arr for pair in layer_grads for arr in pair] + [d_w_out, d_b_out]
 
 
+def stack_then_readout(layers, readout, x, need_cache=False):
+    """The stack's top hidden states through the readout, (T, B, n_out), and the cache."""
+    hidden, cache = _forward_stacked(layers, x, need_cache=need_cache)
+    y, _ = _mlp_forward([readout], hidden.reshape(-1, hidden.shape[2]))
+    return y.reshape(*hidden.shape[:2], -1), cache
+
+
 def random_stack(n_layers, hidden, d_in, n_out, seed):
     rng = np.random.default_rng(seed)
     layers = []
@@ -121,11 +130,11 @@ def assert_rel_close(actual, expected, rel=1e-12):
 def test_forward_matches_reference(n_layers):
     layers, readout, rng = random_stack(n_layers, hidden=5, d_in=4, n_out=3, seed=n_layers)
     x = rng.standard_normal((9, 3, 4))
-    y, cache = _forward_stacked(layers, readout, x)
+    y, cache = stack_then_readout(layers, readout, x)
     assert cache is None
     y_ref, _ = reference_forward(layers, readout, x)
     assert_rel_close(y, y_ref)
-    y_cached, _ = _forward_stacked(layers, readout, x, need_cache=True)
+    y_cached, _ = stack_then_readout(layers, readout, x, need_cache=True)
     assert np.array_equal(y_cached, y)
 
 
@@ -151,8 +160,7 @@ def test_gate_sigmoid_matches_logistic_without_overflow():
     layer = LstmLayerWeights(np.tile([0.0, 1.0], (4, 1)), np.zeros(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, (_, caches) = _forward_stacked([layer], (np.ones((1, 1)), np.zeros(1)),
-                                          x.reshape(1, -1, 1), need_cache=True)
+        _, (_, caches) = _forward_stacked([layer], x.reshape(1, -1, 1), need_cache=True)
     # the cache is gate-major, (T, 4, B, H): gate k of the one step is gates[k, :, 0]
     gates = caches[0][0][0]
     xl = x.astype(np.longdouble)
@@ -275,10 +283,10 @@ def test_gate_major_kernels_equal_batch_major_bitwise(n_layers, n_batch):
                                         seed=100 * n_layers + n_batch)
     x = rng.standard_normal((40, n_batch, 11))
     y_ref, caches_ref = batch_major_forward(layers, readout, x)
-    y, cache = _forward_stacked(layers, readout, x)
+    y, cache = stack_then_readout(layers, readout, x)
     assert cache is None
     assert_same_bits(y, y_ref)
-    y_cached, (_, caches) = _forward_stacked(layers, readout, x, need_cache=True)
+    y_cached, (_, caches) = stack_then_readout(layers, readout, x, need_cache=True)
     assert_same_bits(y_cached, y_ref)
     for (gates, *states), (gates_ref, *states_ref) in zip(caches, caches_ref):
         assert_same_bits(gates.transpose(0, 2, 1, 3), gates_ref.reshape(40, n_batch, 4, 64))

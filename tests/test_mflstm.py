@@ -401,13 +401,20 @@ def test_predict_identity_model_reproduces_input():
     assert rel < 0.25
 
 
-@pytest.mark.parametrize("kind", ["lstm", "static"])
-def test_predict_whole_series_matches_single_parameter_calls(kind):
+@pytest.mark.parametrize(("kind", "size"), [
+    ("lstm", "small"), ("static", "small"), ("lstm", "benchmark"), ("static", "benchmark"),
+], ids=["lstm", "static", "lstm-benchmark", "static-benchmark"])
+def test_predict_whole_series_matches_single_parameter_calls(kind, size):
     # a 3-parameter series, predicted at once, must match each parameter
     # predicted alone block by block; not bitwise, because the GEMMs round
-    # differently for a 1-row and a 3-row batch
-    lf, hf = series_pair(n_mu=3, n_t=24, n_coef=3, seed=31)
-    cfg = TrainConfig(hidden=8, n_layers=2, k_window=8, n_batch=4, epochs=3, seed=0)
+    # differently for a 1-row and a 3-row batch. The benchmark size is
+    # hidden 64 over 9 modes and 3 x 401 steps, as mfbench trains.
+    if size == "small":
+        lf, hf = series_pair(n_mu=3, n_t=24, n_coef=3, seed=31)
+        cfg = TrainConfig(hidden=8, n_layers=2, k_window=8, n_batch=4, epochs=3, seed=0)
+    else:
+        lf, hf = series_pair(n_mu=3, n_t=401, n_coef=9, seed=31)
+        cfg = TrainConfig(hidden=64, k_window=40, n_batch=30, epochs=2, seed=0)
     model = train(lf, hf, cfg) if kind == "lstm" else train_static_baseline(lf, hf, cfg)
     whole = predict(model, lf).coeffs
     for i in range(lf.n_mu):
@@ -457,6 +464,15 @@ def test_lstm_serialization_round_trip_bit_exact():
     back = lstm_from_bytes(blob)
     assert lstm_to_bytes(back) == blob
     assert np.array_equal(predict(model, lf).coeffs, predict(back, lf).coeffs)
+
+
+def test_lstm_serialization_refuses_a_model_without_lstm_layers():
+    lf, hf = series_pair(n_mu=1, n_t=32, n_coef=2, seed=34)
+    cfg = TrainConfig(hidden=4, k_window=8, epochs=1, seed=0)
+    with pytest.raises(ValidationError, match="at least one layer"):
+        lstm_to_bytes(train_static_baseline(lf, hf, cfg))
+    with pytest.raises(ValidationError, match="at least one layer"):
+        train(lf, hf, TrainConfig(hidden=4, n_layers=0, k_window=8, epochs=1))
 
 
 def test_lstm_deserialization_rejects_corruption():

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mfpod import snapshots
 from mfpod.errors import DataError, FormatError, ShapeError, ValidationError
 from mfpod.numerics import Grid2D
 from mfpod.pod import PodRule, build_basis, project
@@ -224,6 +230,36 @@ def test_ingest_rejects_wrong_total(tmp_path):
     with pytest.raises(ShapeError):
         ingest_external(path, Grid2D(4, 1.0), np.array([0.0, 1.0, 2.0]),
                         np.array([1.0]), n_dof=4)
+
+
+# ingests argv[1], declared as 16 values, with the address space capped at
+# 2 GiB after the imports; prints the name of the error it ends in
+CAPPED_INGEST = """
+import resource, sys
+import numpy as np
+from mfpod.errors import ShapeError
+from mfpod.numerics import Grid2D
+from mfpod.snapshots import ingest_external
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+try:
+    ingest_external(sys.argv[1], Grid2D(4, 1.0), np.array([0.0]), np.array([1.0]), n_dof=16)
+except (ShapeError, MemoryError) as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_ingest_sizes_the_payload_before_reading_it(tmp_path):
+    # a sparse 4 GiB file: read before it is sized, it would be a MemoryError
+    # under the cap; sized first, it is a ShapeError and nothing is loaded
+    path = tmp_path / "huge.bin"
+    path.touch()
+    os.truncate(path, 4 << 30)
+    src = str(Path(snapshots.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_INGEST, str(path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "ShapeError", proc.stderr
 
 
 def test_ingest_then_project_matches_in_memory_path(tmp_path):
