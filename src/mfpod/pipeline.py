@@ -40,7 +40,7 @@ from .codec import (Reader, decode_name, dump_f64, read_file, read_text, stored,
                     write_atomic)
 from .errors import AlignmentError, CoverageError, FormatError, ValidationError
 from .lifting import SPATIAL_MODES, LiftSpec, _lift_blocks, lift_project, reduced_stencil
-from .mflstm import LstmModel, lstm_from_bytes, lstm_to_bytes, predict, train
+from .mflstm import _VAL_EVERY, LstmModel, lstm_from_bytes, lstm_to_bytes, predict, train
 from .numerics import Grid2D
 from .pod import (CoefficientSeries, PodBasis, PodRule, _full_fields, build_basis, project,
                   reconstruct)
@@ -205,9 +205,14 @@ def offline_train(
     problem: str,
     hf_profile: FidelityProfile,
     lf_profile: FidelityProfile,
-    val_every: int = 1,
+    val_every: int = _VAL_EVERY,
 ) -> SurrogateModel:
-    """Run the four offline stages and assemble the deployable surrogate."""
+    """Run the four offline stages and assemble the deployable surrogate.
+
+    ``val_every`` is the cadence of ``train``'s held-out pass: the loss on the
+    held-out tail is recorded in ``lstm.history`` every ``val_every`` epochs
+    and after the last, and is NaN in the other epochs. It changes no weight.
+    """
     provenance = Provenance(
         problem=problem,
         hf_profile=hf_profile,

@@ -316,7 +316,7 @@ def test_training_returns_last_epoch_and_only_observes_the_holdout(fit):
     lf, hf = series_pair(n_mu=2, n_t=64, n_coef=2, seed=23)
     cfg = TrainConfig(hidden=12, k_window=16, n_batch=8, epochs=60,
                       learning_rate=2e-2, seed=3)
-    model = fit(lf, hf, cfg)
+    model = fit(lf, hf, cfg, val_every=1)
     val_losses = [v for _, _, v in model.history]
     assert np.all(np.isfinite(val_losses))
     assert model.history[-1][1] < model.history[0][1]
@@ -327,19 +327,29 @@ def test_training_returns_last_epoch_and_only_observes_the_holdout(fit):
     held_out = float((resid[:, :, -n_tail:] ** 2).sum()) / (n_tail * hf.n_mu)
     assert held_out == pytest.approx(val_losses[-1], rel=1e-12, abs=0)
     # how often the held-out loss is observed changes no weight
-    sparse = fit(lf, hf, cfg, val_every=7)
-    for every, seventh in zip(_params(model), _params(sparse), strict=True):
-        assert every.tobytes() == seventh.tobytes()
+    for other in (fit(lf, hf, cfg), fit(lf, hf, cfg, val_every=7)):
+        for every, sparse in zip(_params(model), _params(other), strict=True):
+            assert every.tobytes() == sparse.tobytes()
 
 
-@pytest.mark.parametrize("fit", [train, train_static_baseline])
-def test_holdout_loss_observed_every_val_every_epochs_and_after_the_last(fit):
+@pytest.mark.parametrize(("fit", "val_every", "expected"), [
+    pytest.param(train, 7, [0, 7, 14, 19], id="train"),
+    pytest.param(train_static_baseline, 7, [0, 7, 14, 19], id="train_static_baseline"),
+    pytest.param(train, None, [0, 10, 19], id="train-default"),
+    pytest.param(train_static_baseline, None, [0, 10, 19], id="train_static_baseline-default"),
+])
+def test_holdout_loss_observed_every_val_every_epochs_and_after_the_last(fit, val_every, expected):
     lf, hf = series_pair(n_mu=2, n_t=32, n_coef=2, seed=24)
     cfg = TrainConfig(hidden=4, k_window=8, n_batch=4, epochs=20, seed=1)
-    model = fit(lf, hf, cfg, val_every=7)
+    model = fit(lf, hf, cfg) if val_every is None else fit(lf, hf, cfg, val_every=val_every)
     assert [epoch for epoch, _, _ in model.history] == list(range(20))
     observed = [epoch for epoch, _, val in model.history if not math.isnan(val)]
-    assert observed == [0, 7, 14, 19]
+    assert observed == expected
+    # every training loss and every recorded held-out loss equal those of the
+    # run that observes every epoch (the losses are positive, so == is bitwise)
+    every = fit(lf, hf, cfg, val_every=1).history
+    assert [loss for _, loss, _ in model.history] == [loss for _, loss, _ in every]
+    assert [model.history[epoch][2] for epoch in expected] == [every[epoch][2] for epoch in expected]
 
 
 @pytest.mark.parametrize("fit", [train, train_static_baseline])
@@ -401,6 +411,15 @@ def test_predict_identity_model_reproduces_input():
     assert rel < 0.25
 
 
+def assert_whole_series_matches_single_parameter_calls(model, lf):
+    whole = predict(model, lf).coeffs
+    for i in range(lf.n_mu):
+        block = slice(i * lf.n_t, (i + 1) * lf.n_t)
+        one = CoefficientSeries(lf.coeffs[:, block], lf.times, lf.params[i : i + 1])
+        alone = predict(model, one).coeffs
+        assert_allclose(whole[:, block], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
+
+
 @pytest.mark.parametrize(("kind", "size"), [
     ("lstm", "small"), ("static", "small"), ("lstm", "benchmark"), ("static", "benchmark"),
 ], ids=["lstm", "static", "lstm-benchmark", "static-benchmark"])
@@ -416,12 +435,26 @@ def test_predict_whole_series_matches_single_parameter_calls(kind, size):
         lf, hf = series_pair(n_mu=3, n_t=401, n_coef=9, seed=31)
         cfg = TrainConfig(hidden=64, k_window=40, n_batch=30, epochs=2, seed=0)
     model = train(lf, hf, cfg) if kind == "lstm" else train_static_baseline(lf, hf, cfg)
-    whole = predict(model, lf).coeffs
-    for i in range(lf.n_mu):
-        block = slice(i * lf.n_t, (i + 1) * lf.n_t)
-        one = CoefficientSeries(lf.coeffs[:, block], lf.times, lf.params[i : i + 1])
-        alone = predict(model, one).coeffs
-        assert_allclose(whole[:, block], alone, rtol=1e-12, atol=1e-12 * np.abs(alone).max())
+    assert_whole_series_matches_single_parameter_calls(model, lf)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    static=st.booleans(),
+    n_layers=st.integers(1, 2),
+    hidden=st.integers(1, 16),
+    n_coef=st.integers(1, 5),
+    n_mu=st.integers(2, 4),
+    n_t=st.integers(12, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_predict_batch_invariance_over_shapes(static, n_layers, hidden, n_coef, n_mu, n_t, seed):
+    # the whole-series prediction matches each parameter predicted alone, to
+    # the bound of the fixed-shape test above, for LSTM and static models
+    lf, hf = series_pair(n_mu=n_mu, n_t=n_t, n_coef=n_coef, seed=seed)
+    cfg = TrainConfig(hidden=hidden, n_layers=n_layers, k_window=8, n_batch=4, epochs=2, seed=seed)
+    model = (train_static_baseline if static else train)(lf, hf, cfg)
+    assert_whole_series_matches_single_parameter_calls(model, lf)
 
 
 def test_predict_double_horizon_accepted():
