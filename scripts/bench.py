@@ -7,7 +7,9 @@ From the root of the repository:
 
 Each run lasts the ``run_seconds`` of ``BENCHMARK.json``. Each workload runs
 at seeds 1-3 with ``--trace 0`` for the end-to-end metrics, then at seed 1
-with ``--trace 1`` for the per-layer metrics. Every child starts with
+with ``--trace 1`` for the per-layer metrics. ``--workload NAME`` (repeatable)
+runs only the named workloads, and ``--seeds A-B`` the untraced runs at seeds
+A to B and the traced run at seed A. Every child starts with
 ``MALLOC_MMAP_THRESHOLD_=33554432``. Setting the threshold turns off glibc's
 dynamic mmap threshold, which otherwise flips rd-offline's peak memory between
 two values with unrelated code changes; 32 MiB is the ceiling of that dynamic
@@ -28,6 +30,10 @@ from one seed to the next. Every run records its ``side`` ("change" or
 deltas compare runs made on the same host minutes apart:
 
     python scripts/bench.py --parent HEAD~1
+
+Ten alternating pairs of one workload, as a claimed gain needs:
+
+    python scripts/bench.py --parent HEAD~1 --workload rd-evaluate --seeds 1-10
 """
 
 import argparse
@@ -43,9 +49,20 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rd-offline", "sw-online", "rd-evaluate")
-RUNS = [(seed, 0) for seed in (1, 2, 3)] + [(1, 1)]  # (seed, trace)
 CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432"}
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def seed_range(text: str) -> range:
+    """The seeds A to B, both included, of ``A-B``."""
+    first, _, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last) + 1)
+    except ValueError:
+        seeds = range(0)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"expected A-B with integers A <= B, got {text!r}")
+    return seeds
 
 
 def git_commit(rev: str = "HEAD") -> str | None:
@@ -106,7 +123,12 @@ def main() -> int:
     parser.add_argument("--parent", metavar="REV",
                         help="also benchmark the committed tree of git revision REV, "
                              "alternating with this tree")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="run only this workload (repeatable; default: all)")
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-3"), metavar="A-B",
+                        help="seeds of the untraced runs; the traced run uses A (default: 1-3)")
     args = parser.parse_args()
+    runs_per_workload = [(seed, 0) for seed in args.seeds] + [(args.seeds[0], 1)]
     env = environment()
     parent = None
     if args.parent is not None:
@@ -123,8 +145,8 @@ def main() -> int:
         sides = [("change", ROOT)]
         if parent is not None:
             sides.append(("parent", export_tree(parent, Path(tmp))))
-        for workload in WORKLOADS:
-            for i, (seed, trace) in enumerate(RUNS):
+        for workload in args.workload or WORKLOADS:
+            for i, (seed, trace) in enumerate(runs_per_workload):
                 for side, root in sides[:: 1 if i % 2 == 0 else -1]:
                     run = run_one(side, root, workload, seed, trace)
                     ok = run["result"] is not None and run["result"]["correct"]

@@ -16,8 +16,11 @@ d 0.1, T 20). Then the LSTM kernels of a seeded hidden-64 layer at the
 benchmark's shapes: the loss and gradients of ``_sse_grads`` on training
 batches of 30 and 15 windows of 40 steps, and ``predict`` with unit
 normalizers on 3 and 1 sequences of 401 steps, the held-out shapes; and
-the blocked Gram product at 1024 x 250 and 2048 x 500. The 16^2 runs never
-reach these kernels at such sizes. The gradient lines leave out the gate
+the blocked Gram product at 1024 x 250 and 2048 x 500. Last, the three-mu
+64^2 high-fidelity sweeps that training and the references run, over
+T 2 to keep the probe fast: rd at mu 0.5, 1, 1.5 with d 0.05 and dt 0.05,
+and sw at mu 1, 3, 5 with dt 0.05. The 16^2 runs never reach these kernels
+at such sizes. The gradient lines leave out the gate
 weight gradient: its one GEMM, (4H x TB) @ (TB x (H + D)), gives different
 bits under one and two OpenBLAS threads at these shapes, while the gate bias
 gradient sums every gate gradient of the backward pass without BLAS. One
@@ -34,8 +37,9 @@ the repository with the other tree checked out in ../parent:
 Only API that has been stable across those refactors is used, so the probe
 runs against older trees too; a tree without the blocked Gram kernels
 (``pod._gram``) prints no Gram or panel lines, and one without the stacked
-LSTM kernels (``mflstm._sse_grads``) no LSTM lines. The trajectory lines use
-only ``generate_dataset``, so every tree prints them.
+LSTM kernels (``mflstm._sse_grads``) no LSTM lines. The trajectory and sweep
+lines use only ``generate_dataset``, so every tree prints them; the sweep
+lines come after every other line, so a tree's older lines keep their place.
 """
 
 import hashlib
@@ -77,6 +81,12 @@ GRAD_SHAPES = [(40, 30), (40, 15)]
 FORWARD_SHAPES = [(401, 3), (401, 1)]
 # (rows, columns) of the Gram products whose widths end in panels of 128 and 192
 GRAM_SHAPES = [(1024, 250), (2048, 500)]
+# (problem, HF profile, parameter values) of the benchmark-size HF sweeps
+HF_SWEEPS = [
+    ("rd", FidelityProfile("HF", 64, 0.05, 0.05), [0.5, 1.0, 1.5]),
+    ("sw", FidelityProfile("HF", 64, 0.05), [1.0, 3.0, 5.0]),
+]
+T_HF_SWEEP = 2.0
 
 
 def digest(value) -> str:
@@ -175,6 +185,10 @@ def artifacts(work: Path):
     if hasattr(pod, "_gram"):
         for m, n in GRAM_SHAPES:
             yield f"gram/{m}x{n}", pod._gram(np.asfortranarray(rng.standard_normal((m, n))))
+
+    for problem, profile, values in HF_SWEEPS:
+        snaps = generate_dataset(problem, profile, np.array(values), T_HF_SWEEP)
+        yield f"hf_sweep/{problem}/{profile.n}x{len(values)}", snaps.data
 
 
 def main() -> None:

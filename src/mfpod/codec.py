@@ -4,8 +4,9 @@ All integers are little-endian u32 (u64 for container block sizes) and all
 floats little-endian f64. ``Reader`` checks a block's magic, bounds-checks
 every read against the bytes present before anything is allocated, with
 sizes in Python integers, and ``done`` rejects trailing bytes. ``read_file``
-turns an ``OSError`` into ``StorageError``; ``read_text`` (configs, report
-CSVs) and ``Reader.utf8`` make text that is not UTF-8 a ``FormatError``;
+turns an ``OSError`` into ``StorageError`` and, given the size a file must
+have, makes any other size a ``ShapeError`` before reading; ``read_text`` (configs,
+report CSVs) and ``Reader.utf8`` make text that is not UTF-8 a ``FormatError``;
 ``stored`` makes a ``ValidationError`` from building a type out of stored
 values a ``FormatError`` with the type's message, and leaves a ``DataError``
 as it is. So a missing, truncated, forged or otherwise corrupt file raises a
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, StorageError, ValidationError
+from .errors import DataError, FormatError, ShapeError, StorageError, ValidationError
 
 
 class Reader:
@@ -83,10 +84,18 @@ def _utf8(raw, where: str) -> str:
         raise FormatError(f"invalid UTF-8 text in {where}: {exc}") from exc
 
 
-def read_file(path: str | Path, what: str) -> bytes:
-    """The bytes of the file at ``path``; an ``OSError`` comes back as ``StorageError``."""
+def read_file(path: str | Path, what: str, size: int | None = None) -> bytes:
+    """The bytes of the file at ``path``; an ``OSError`` comes back as ``StorageError``.
+
+    A file whose size is not ``size``, when given, is a ``ShapeError`` before
+    any of it is read.
+    """
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            held = os.fstat(fh.fileno()).st_size
+            if size is not None and held != size:
+                raise ShapeError(f"{what} {path} holds {held} bytes, expected {size}")
+            return fh.read()
     except OSError as exc:
         raise StorageError(f"cannot read {what} from {path}: {exc}") from exc
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Reader, decode_name, dump_f64, stored, utf8_bytes, write_atomic
+from .codec import Reader, decode_name, dump_f64, read_file, stored, utf8_bytes, write_atomic
 from .errors import DataError, FormatError, ShapeError, StorageError, ValidationError
 from .numerics import Grid2D, require_size
 
@@ -217,18 +217,10 @@ def ingest_external(
     """
     if n_dof < 1:
         raise ValidationError(f"declared n_dof must be positive, got {n_dof}")
-    # in Python integers, and before the read, so a mis-sized payload is
-    # never loaded
+    # 8*n_dof*n_mu*n_t in Python integers, checked before the read, so a
+    # mis-sized payload is never loaded
     expected = 8 * int(n_dof) * len(params) * int(np.size(times))
-    try:
-        size = os.path.getsize(data_path)
-        if size != expected:
-            raise ShapeError(
-                f"payload holds {size} bytes, expected 8*n_dof*n_mu*n_t = {expected}"
-            )
-        raw = np.fromfile(data_path, dtype="<f8")
-    except OSError as exc:
-        raise StorageError(f"cannot read payload from {data_path}: {exc}") from exc
+    raw = np.frombuffer(read_file(data_path, "payload", size=expected), dtype="<f8")
     return SnapshotSet(
         fidelity=fidelity,
         data=raw.reshape((n_dof, -1), order="F"),

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfpod import snapshots
-from mfpod.errors import DataError, FormatError, ShapeError, ValidationError
+from mfpod.errors import DataError, FormatError, ShapeError, StorageError, ValidationError
 from mfpod.numerics import Grid2D
 from mfpod.pod import PodRule, build_basis, project
 from mfpod.snapshots import (
@@ -189,8 +189,6 @@ def test_read_rejects_non_finite_payload(tmp_path):
 
 
 def test_missing_file_is_storage_error(tmp_path):
-    from mfpod.errors import StorageError
-
     with pytest.raises(StorageError):
         read_snapshots(tmp_path / "nope.mfsnap")
 
@@ -229,6 +227,12 @@ def test_ingest_rejects_wrong_total(tmp_path):
     np.arange(16, dtype="<f8").tofile(path)  # divisible by 4 but not 4*1*3
     with pytest.raises(ShapeError):
         ingest_external(path, Grid2D(4, 1.0), np.array([0.0, 1.0, 2.0]),
+                        np.array([1.0]), n_dof=4)
+
+
+def test_ingest_missing_payload_is_a_storage_error(tmp_path):
+    with pytest.raises(StorageError, match="cannot read payload"):
+        ingest_external(tmp_path / "nope.bin", Grid2D(4, 1.0), np.array([0.0, 1.0, 2.0]),
                         np.array([1.0]), n_dof=4)
 
 

@@ -418,12 +418,24 @@ def test_generate_annotates_failing_parameter():
         generate_dataset("sw", profile, np.array([5.0]), 20.0)
 
 
-@pytest.mark.parametrize("mus", [[0.0, 5.0], [5.0, 0.0]])
-def test_generate_names_the_diverging_parameter_of_a_batch(mus):
-    # mu = 0 alone stays stable here; the batch must name mu = 5 wherever it sits
-    profile = FidelityProfile("LF", 50, 1.0)
-    with pytest.raises(InstabilityError, match=r"mu = 5: .*step 4 \(t = 4\)"):
-        generate_dataset("sw", profile, np.array(mus), 20.0)
+SW_UNSTABLE = ("sw", FidelityProfile("LF", 50, 1.0), r"mu = 5: .*step 4 \(t = 4\)")
+RD_UNSTABLE = ("rd", FidelityProfile("LF", 16, 0.5, 0.1), r"mu = 20: .*step 2 \(t = 1\)")
+
+
+@pytest.mark.parametrize("problem, profile, report, mus", [
+    pytest.param(*SW_UNSTABLE, [0.0, 5.0], id="mus0"),
+    pytest.param(*SW_UNSTABLE, [5.0, 0.0], id="mus1"),
+    pytest.param(*RD_UNSTABLE, [20.0, 0.0, 0.0], id="rd-first"),
+    pytest.param(*RD_UNSTABLE, [0.0, 20.0, 0.0], id="rd-middle"),
+    pytest.param(*RD_UNSTABLE, [0.0, 0.0, 20.0], id="rd-last"),
+    pytest.param(*RD_UNSTABLE, [0.0, 20.0], id="rd-pair"),
+])
+def test_generate_names_the_diverging_parameter_of_a_batch(problem, profile, report, mus):
+    # mu = 0 alone stays stable here; the batch must name the diverging value
+    # wherever it sits. rd's two fields also expose a field/mu mix-up in the
+    # per-run finite check, which sw's single field cannot
+    with pytest.raises(InstabilityError, match=report):
+        generate_dataset(problem, profile, np.array(mus), 20.0)
 
 
 @settings(max_examples=12, deadline=None)
