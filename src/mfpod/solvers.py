@@ -278,9 +278,10 @@ def solve_rd(
     u0, v0 = rd_initial(grid) if ic is None else ic
     state_hat = np.fft.rfft2(np.stack((u0, v0)).astype(np.float64))
     state_hat = np.repeat(state_hat[:, None], mus.size, axis=1)
-    # complex and at full operand shape once per solve, not cast and broadcast per call
-    diffusion = np.broadcast_to((cfg.d * k2).astype(np.complex128), state_hat.shape).copy()
-    decay = np.broadcast_to((-(cfg.d * k2)).astype(np.complex128), state_hat.shape).copy()
+    # complex and at full operand shape once per solve, not cast and broadcast
+    # per call: the diffusion d k^2, or without reaction the decay -d k^2
+    symbol = cfg.d * k2 if include_reaction else -(cfg.d * k2)
+    diffusion = np.broadcast_to(symbol.astype(np.complex128), state_hat.shape).copy()
     rotation_rate = np.broadcast_to(mus[:, None, None], (mus.size, n, n)).copy()
     spectrum = np.empty_like(state_hat)
     fields, reaction = np.empty((2, 2, mus.size, n, n))
@@ -312,7 +313,7 @@ def solve_rd(
             _pocketfft.fft(out, 1, axes=_COLUMNS, out=out)
             np.subtract(out, np.multiply(diffusion, hat, out=spectrum), out=out)
         else:
-            np.multiply(decay, hat, out=out)
+            np.multiply(diffusion, hat, out=out)
         return fields if store else None
 
     times = time_grid(cfg.T, cfg.dt)
