@@ -6,10 +6,13 @@ From the root of the repository:
     python scripts/bench.py
 
 Each run lasts the ``run_seconds`` of ``BENCHMARK.json``. Each workload runs
-at seeds 1-3 with ``--trace 0`` for the end-to-end metrics, then at seed 1
-with ``--trace 1`` for the per-layer metrics. ``--workload NAME`` (repeatable)
-runs only the named workloads, and ``--seeds A-B`` the untraced runs at seeds
-A to B and the traced run at seed A. Every child starts with
+at seeds 1-3 with ``--trace 0`` for the end-to-end metrics, then at the same
+seeds with ``--trace 1`` for the per-layer metrics, whose medians over the
+traced runs are printed per side at the end and stored as ``layer_medians``:
+one disturbed traced run then moves a median, not the whole trace.
+``--workload NAME`` (repeatable) runs only the named workloads, and
+``--seeds A-B`` the untraced runs at seeds A to B and the traced runs at the
+first three of them. Every child starts with
 ``MALLOC_MMAP_THRESHOLD_=33554432``. Setting the threshold turns off glibc's
 dynamic mmap threshold, which otherwise flips rd-offline's peak memory between
 two values with unrelated code changes; 32 MiB is the ceiling of that dynamic
@@ -18,9 +21,11 @@ process once it has freed an array that large. (A 128 KiB threshold makes every 
 mmap/munmap pair with fresh page faults: a 3-parameter rd sweep at 64^2 then
 takes twice as long as under the default heap.) The file records, per run,
 the last-line JSON and the info line of ``mfbench/run.py``, and, once, the
-numpy and BLAS versions, the CPU count, the heap setting and
-``git rev-parse HEAD``. It is written to the first free ``BENCH_<n>.json`` at
-the root of the repository.
+numpy and BLAS versions, the CPU count and the CPUs this process may use, the
+heap setting, ``git rev-parse HEAD`` and the load average at the start and at
+the end, so a run on a busy host shows in its file (the solver runs HF-size
+sweeps on two threads, so a busy second CPU slows them). It is written to the
+first free ``BENCH_<n>.json`` at the root of the repository.
 
 With ``--parent REV`` the tree of git revision REV is exported with
 ``git archive`` into a temporary directory and benchmarked too, each run
@@ -40,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -92,8 +98,38 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
         "cpu_count": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
         "child_env": CHILD_ENV,
+        "loadavg_start": os.getloadavg(),
     }
+
+
+def layer_medians(runs: list[dict]) -> dict:
+    """Per workload, side and per-layer metric, the median over the correct traced runs."""
+    values = {}
+    for run in runs:
+        if run["trace"] and run["result"] is not None and run["result"]["correct"]:
+            side = values.setdefault(run["workload"], {}).setdefault(run["side"], {})
+            for name, metric in run["result"]["metrics"].items():
+                side.setdefault(name, []).append(metric["value"])
+    return {workload: {side: {name: statistics.median(v) for name, v in metrics.items()}
+                       for side, metrics in sides.items()}
+            for workload, sides in values.items()}
+
+
+def print_layer_medians(medians: dict) -> None:
+    """One table per workload: a metric per row, a side per column, then change/parent - 1."""
+    for workload, sides in medians.items():
+        order = sorted(sides)
+        names = sorted(set().union(*(sides[side] for side in order)))
+        print(f"{workload}: per-layer medians of the traced runs")
+        print(f"  {'metric':32s}" + "".join(f"{side:>14s}" for side in order)
+              + ("       delta" if len(order) == 2 else ""))
+        for name in names:
+            row = [sides[side].get(name, float("nan")) for side in order]
+            delta = f"{row[0] / row[1] - 1:+12.1%}" if len(row) == 2 and row[1] else ""
+            print(f"  {name:32s}" + "".join(f"{v:14.6g}" for v in row) + delta)
 
 
 def run_one(side: str, root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -126,9 +162,11 @@ def main() -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="run only this workload (repeatable; default: all)")
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-3"), metavar="A-B",
-                        help="seeds of the untraced runs; the traced run uses A (default: 1-3)")
+                        help="seeds of the untraced runs; the traced runs use the first "
+                             "three (default: 1-3)")
     args = parser.parse_args()
-    runs_per_workload = [(seed, 0) for seed in args.seeds] + [(args.seeds[0], 1)]
+    runs_per_workload = ([(seed, 0) for seed in args.seeds]
+                         + [(seed, 1) for seed in args.seeds[:3]])
     env = environment()
     parent = None
     if args.parent is not None:
@@ -153,7 +191,10 @@ def main() -> int:
                     print(f"{side} {workload} seed {seed} trace {trace}: "
                           f"{'ok' if ok else 'FAILED'}  {run['info']}", flush=True)
                     runs.append(run)
-    doc = {"seconds": SECONDS, "environment": env, "runs": runs}
+    env["loadavg_end"] = os.getloadavg()
+    medians = layer_medians(runs)
+    print_layer_medians(medians)
+    doc = {"seconds": SECONDS, "environment": env, "layer_medians": medians, "runs": runs}
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path.name}")
     failed = [r for r in runs if r["result"] is None or not r["result"]["correct"]]

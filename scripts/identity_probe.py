@@ -19,7 +19,8 @@ normalizers on 3 and 1 sequences of 401 steps, the held-out shapes; and
 the blocked Gram product at 1024 x 250 and 2048 x 500. Last, the three-mu
 64^2 high-fidelity sweeps that training and the references run, over
 T 2 to keep the probe fast: rd at mu 0.5, 1, 1.5 with d 0.05 and dt 0.05,
-and sw at mu 1, 3, 5 with dt 0.05. The 16^2 runs never reach these kernels
+and sw at mu 1, 3, 5 with dt 0.05; on two usable CPUs both run as two mu
+groups on two threads. The 16^2 runs never reach these kernels
 at such sizes. The gradient lines leave out the gate
 weight gradient: its one GEMM, (4H x TB) @ (TB x (H + D)), gives different
 bits under one and two OpenBLAS threads at these shapes, while the gate bias

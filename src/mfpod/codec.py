@@ -3,13 +3,15 @@
 All integers are little-endian u32 (u64 for container block sizes) and all
 floats little-endian f64. ``Reader`` checks a block's magic, bounds-checks
 every read against the bytes present before anything is allocated, with
-sizes in Python integers, and ``done`` rejects trailing bytes. ``read_file``
-turns an ``OSError`` into ``StorageError`` and, given the size a file must
-have, makes any other size a ``ShapeError`` before reading; ``read_text`` (configs,
-report CSVs) and ``Reader.utf8`` make text that is not UTF-8 a ``FormatError``;
-``stored`` makes a ``ValidationError`` from building a type out of stored
-values a ``FormatError`` with the type's message, and leaves a ``DataError``
-as it is. So a missing, truncated, forged or otherwise corrupt file raises a
+sizes in Python integers, and ``done`` rejects trailing bytes. Every file is
+read through ``open_file``, which hands out the file's size and sized reads
+and turns an ``OSError`` into ``StorageError``; ``read_file`` reads a whole
+file and, given the size it must have, makes any other size a ``ShapeError``
+before reading; ``read_text`` (configs, report CSVs) and ``Reader.utf8``
+make text that is not UTF-8 a ``FormatError``; ``stored`` makes a
+``ValidationError`` from building a type out of stored values a
+``FormatError`` with the type's message, and leaves a ``DataError`` as it
+is. So a missing, truncated, forged or otherwise corrupt file raises a
 ``StorageError`` or ``FormatError`` and nothing else.
 
 On the write side, ``dump_f64`` exposes an array's little-endian f64 bytes
@@ -84,20 +86,31 @@ def _utf8(raw, where: str) -> str:
         raise FormatError(f"invalid UTF-8 text in {where}: {exc}") from exc
 
 
+@contextmanager
+def open_file(path: str | Path, what: str):
+    """The file at ``path``, open for reading, as (size in bytes, read).
+
+    ``read(count)`` returns the next ``count`` bytes, or fewer at the end of
+    the file; ``read()`` returns the rest. An ``OSError`` from opening, from
+    ``fstat`` or from a read comes back as ``StorageError``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            yield os.fstat(fh.fileno()).st_size, fh.read
+    except OSError as exc:
+        raise StorageError(f"cannot read {what} from {path}: {exc}") from exc
+
+
 def read_file(path: str | Path, what: str, size: int | None = None) -> bytes:
     """The bytes of the file at ``path``; an ``OSError`` comes back as ``StorageError``.
 
     A file whose size is not ``size``, when given, is a ``ShapeError`` before
     any of it is read.
     """
-    try:
-        with open(path, "rb") as fh:
-            held = os.fstat(fh.fileno()).st_size
-            if size is not None and held != size:
-                raise ShapeError(f"{what} {path} holds {held} bytes, expected {size}")
-            return fh.read()
-    except OSError as exc:
-        raise StorageError(f"cannot read {what} from {path}: {exc}") from exc
+    with open_file(path, what) as (held, read):
+        if size is not None and held != size:
+            raise ShapeError(f"{what} {path} holds {held} bytes, expected {size}")
+        return read()
 
 
 def read_text(path: str | Path, what: str) -> str:

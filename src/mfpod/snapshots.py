@@ -18,16 +18,16 @@ MFSNAP binary layout (all integers u32 LE, floats f64 LE):
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codec import Reader, decode_name, dump_f64, read_file, stored, utf8_bytes, write_atomic
-from .errors import DataError, FormatError, ShapeError, StorageError, ValidationError
-from .numerics import Grid2D, require_size
+from .codec import (Reader, decode_name, dump_f64, open_file, read_file, stored, utf8_bytes,
+                    write_atomic)
+from .errors import DataError, FormatError, ShapeError, ValidationError
+from .numerics import Grid2D, all_finite, require_size
 
 MAGIC = b"MFSNAP01"
 HEADER_SIZE = 64
@@ -100,7 +100,7 @@ class SnapshotSet:
                 f"snapshot matrix has {self.data.shape[1]} columns, expected "
                 f"n_mu*n_t = {self.n_mu}*{self.n_t} = {expected}"
             )
-        if not np.all(np.isfinite(self.data)):
+        if not all_finite(self.data):
             raise DataError("snapshot data contains non-finite values")
         if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.params)):
             raise DataError("times/params contain non-finite values")
@@ -166,28 +166,23 @@ def read_snapshots(path: str | Path) -> SnapshotSet:
     The header's dimensions are checked against the real file size before
     anything is allocated, and the payload is used in place, without a copy.
     """
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            header = Reader(fh.read(HEADER_SIZE), "MFSNAP header", MAGIC)
-            n_dof, n_t, n_mu, p, n_grid, field_count, fid_code = header.u32(7)
-            fidelity = decode_name(fid_code, FIDELITIES, "fidelity")
-            least = mfsnap_file_size(n_dof, n_t, n_mu, p, ()) + 4 * field_count
-            if least > size:
-                raise FormatError(
-                    f"MFSNAP header declares at least {least} bytes, but {path} "
-                    f"holds {size}"
-                )
-            payload_size = 8 * n_dof * n_mu * n_t
-            meta = Reader(fh.read(size - HEADER_SIZE - payload_size), "MFSNAP metadata")
-            length = meta.f64()
-            times = meta.f64_array(n_t)
-            params = meta.f64_array((n_mu, p))
-            names = tuple(meta.utf8() for _ in range(field_count))
-            meta.done()
-            payload = Reader(fh.read(payload_size), "MFSNAP payload").take(payload_size)
-    except OSError as exc:
-        raise StorageError(f"cannot read snapshots from {path}: {exc}") from exc
+    with open_file(path, "snapshots") as (size, read):
+        header = Reader(read(HEADER_SIZE), "MFSNAP header", MAGIC)
+        n_dof, n_t, n_mu, p, n_grid, field_count, fid_code = header.u32(7)
+        fidelity = decode_name(fid_code, FIDELITIES, "fidelity")
+        least = mfsnap_file_size(n_dof, n_t, n_mu, p, ()) + 4 * field_count
+        if least > size:
+            raise FormatError(
+                f"MFSNAP header declares at least {least} bytes, but {path} holds {size}"
+            )
+        payload_size = 8 * n_dof * n_mu * n_t
+        meta = Reader(read(size - HEADER_SIZE - payload_size), "MFSNAP metadata")
+        length = meta.f64()
+        times = meta.f64_array(n_t)
+        params = meta.f64_array((n_mu, p))
+        names = tuple(meta.utf8() for _ in range(field_count))
+        meta.done()
+        payload = Reader(read(payload_size), "MFSNAP payload").take(payload_size)
     with stored(f"snapshots {path}"):
         return SnapshotSet(
             fidelity=fidelity,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfpod import codec
 from mfpod.errors import FormatError, MfpodError, StorageError, ValidationError
 from mfpod.lifting import LiftSpec
 from mfpod.mflstm import (
@@ -360,6 +361,50 @@ def test_unknown_code_is_format_error(tmp_path, field):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match=match):
         reader(path)
+
+
+# ---------------------------------------------------------------------------
+# file reads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("read, what", [
+    (read_snapshots, "snapshots"),
+    (load_model, "model"),
+    (lambda path: codec.read_file(path, "payload", size=8), "payload"),
+    (lambda path: codec.read_text(path, "config"), "config"),
+], ids=["snapshots", "model", "payload", "text"])
+def test_unreadable_path_is_storage_error(tmp_path, read, what):
+    # a directory cannot be opened as a file; every reader goes through
+    # codec.open_file, which names what it was reading
+    with pytest.raises(StorageError, match=f"cannot read {what} from {tmp_path}"):
+        read(tmp_path)
+
+
+def test_read_failing_after_open_is_storage_error(tmp_path, monkeypatch):
+    # a device error on the metadata read of an MFSNAP file, after the header
+    # has been read and checked against the file's size
+    path = tmp_path / "snap.mfsnap"
+    write_snapshots(pinned_snapshots(), path)
+    opened = []
+
+    def failing_open(file, mode):
+        fh = open(file, mode)
+        header_read, calls = fh.read, []
+
+        def read(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise OSError(5, "Input/output error")
+            return header_read(*args)
+
+        fh.read = read
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(codec, "open", failing_open, raising=False)
+    with pytest.raises(StorageError, match="cannot read snapshots from .*Input/output error"):
+        read_snapshots(path)
+    assert len(opened) == 1 and opened[0].closed
 
 
 # ---------------------------------------------------------------------------

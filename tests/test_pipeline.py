@@ -133,14 +133,16 @@ def test_online_predict_t0_returns_initial_state(tiny_model):
 
 
 def test_online_predict_never_calls_hf_solver(tiny_model, monkeypatch):
+    # every rd solve, in one loop or split over two threads, builds its
+    # right-hand side through _rd_system
     seen = []
-    original = mfpod.solvers.solve_rd
+    original = mfpod.solvers._rd_system
 
     def spy(cfg, *args, **kwargs):
         seen.append(cfg.n)
         return original(cfg, *args, **kwargs)
 
-    monkeypatch.setattr(mfpod.solvers, "solve_rd", spy)
+    monkeypatch.setattr(mfpod.solvers, "_rd_system", spy)
     online_predict(tiny_model, 1.0, 2.0)
     assert seen and all(n == LF_PROF.n for n in seen)
 

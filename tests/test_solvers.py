@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from mfpod.solvers import (
     sw_initial,
     time_grid,
 )
-from mfpod import presets
+from mfpod import presets, solvers
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +461,125 @@ def test_batched_sweep_equals_single_runs_bitwise(problem, n, mus, steps):
         else:
             _, solo = solve_sw(SwConfig(n=n, T=steps * dt, mu=mu, dt=dt))
         assert np.array_equal(snaps.trajectory(i), solo)
+
+
+# ---------------------------------------------------------------------------
+# sweeps split over two threads
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Two usable CPUs, and a list of the worker threads ``generate_dataset`` creates."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    made = []
+
+    def thread(*args, **kwargs):
+        made.append(threading.Thread(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(solvers, "Thread", thread)
+    return made
+
+
+@pytest.fixture
+def no_thread(monkeypatch):
+    def thread(*args, **kwargs):
+        raise AssertionError("the sweep started a worker thread")
+
+    monkeypatch.setattr(solvers, "Thread", thread)
+
+
+@pytest.mark.parametrize("problem, profile, mus", [
+    ("rd", FidelityProfile("HF", 64, 0.05, 0.05), [0.5, 1.0, 1.5]),
+    ("sw", FidelityProfile("HF", 64, 0.05), [1.0, 5.0]),
+], ids=["rd-3mu", "sw-2mu"])
+def test_split_sweep_equals_one_loop_bitwise(workers, problem, profile, mus):
+    # the larger group transforms 2 * 2 * 64^2 (rd) or 1 * 4 * 64^2 (sw)
+    # = 2^14 points per pass, so the sweep runs as two groups on two threads
+    T = 0.5
+    snaps = generate_dataset(problem, profile, np.array(mus), T)
+    assert len(workers) == 1 and not workers[0].is_alive()
+    if problem == "rd":
+        _, one_loop = solve_rd(RdConfig(n=64, T=T, mu=1.0, d=0.05, dt=0.05), mus=np.array(mus))
+    else:
+        _, one_loop = solve_sw(SwConfig(n=64, T=T, mu=1.0, dt=0.05), mus=np.array(mus))
+    assert snaps.data.tobytes() == one_loop.tobytes()
+
+
+# rd on 64^2 at dt 0.5: mu = 0 stays finite, mu = 2 diverges at step 14 and
+# mu = 20 and 21 at step 2; three values split into groups [0, 1] and [2]
+RD_SPLIT = FidelityProfile("LF", 64, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("mus, report", [
+    pytest.param([20.0, 0.0, 0.0], r"mu = 20: .*step 2 \(t = 1\)", id="first-group"),
+    pytest.param([0.0, 0.0, 20.0], r"mu = 20: .*step 2 \(t = 1\)", id="second-group"),
+    pytest.param([2.0, 0.0, 20.0], r"mu = 20: .*step 2 \(t = 1\)", id="second-earlier"),
+    pytest.param([20.0, 0.0, 2.0], r"mu = 20: .*step 2 \(t = 1\)", id="first-earlier"),
+    pytest.param([21.0, 0.0, 20.0], r"mu = 21: .*step 2 \(t = 1\)", id="same-step"),
+])
+def test_split_sweep_reports_the_one_loop_divergence(workers, mus, report):
+    # the earliest failing step wins and a tie goes to input order, whichever
+    # thread gets there first; a short switch interval mixes the two threads'
+    # steps finely, and each case runs a few times
+    with pytest.raises(InstabilityError, match=report) as one_loop:
+        solve_rd(RdConfig(n=64, T=20.0, mu=1.0, d=0.1, dt=0.5), mus=np.array(mus))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            with pytest.raises(InstabilityError) as split:
+                generate_dataset("rd", RD_SPLIT, np.array(mus), 20.0)
+            assert str(split.value) == str(one_loop.value)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(workers) == 3 and not any(worker.is_alive() for worker in workers)
+
+
+def test_split_sweep_raises_the_worker_exception_on_the_calling_thread(workers, monkeypatch):
+    integrate = solvers._integrate
+
+    def failing_in_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker loop")
+        return integrate(*args)
+
+    monkeypatch.setattr(solvers, "_integrate", failing_in_worker)
+    with pytest.raises(MemoryError, match="worker loop"):
+        generate_dataset("rd", FidelityProfile("HF", 64, 0.05, 0.05), np.array([0.5, 1.0, 1.5]),
+                         0.5)
+    assert len(workers) == 1 and not workers[0].is_alive()
+
+
+@pytest.mark.parametrize("problem, n, mus, cpus", [
+    ("rd", 32, [0.5, 1.0, 1.5], {0, 1}),
+    ("sw", 32, [1.0, 5.0], {0, 1}),
+    ("rd", 64, [0.5, 1.5], {0, 1}),
+    ("rd", 64, [1.0], {0, 1}),
+    ("sw", 64, [3.0], {0, 1}),
+    ("rd", 64, [0.5, 1.0, 1.5], {0}),
+], ids=["rd-32", "sw-32", "rd-64-2mu", "rd-64-1mu", "sw-64-1mu", "one-cpu"])
+def test_sweep_below_the_split_size_starts_no_thread(monkeypatch, no_thread, problem, n,
+                                                     mus, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+    snaps = generate_dataset(problem, FidelityProfile("HF", n, 0.05), np.array(mus), 0.2)
+    assert snaps.n_mu == len(mus) and snaps.n_t == 5
+
+
+def test_split_sweep_writes_into_one_matrix(workers):
+    # no second copy of the snapshot matrix: the two groups write into their
+    # own column blocks of it, so the peak stays near the matrix itself
+    profile = FidelityProfile("HF", 64, 0.05, 0.05)
+    tracemalloc.start()
+    try:
+        snaps = generate_dataset("rd", profile, np.array([0.5, 1.0, 1.5]), 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(workers) == 1
+    assert snaps.data.shape == (2 * 64 * 64, 3 * 201)
+    assert peak <= 1.1 * snaps.data.nbytes
 
 
 @pytest.mark.parametrize("solve, cfg", [(solve_rd, RdConfig(n=8, T=0.1, mu=1.0)),
