@@ -241,7 +241,7 @@ def prediction_times(model: SurrogateModel, T: float) -> np.ndarray:
 def _run_lf(model: SurrogateModel, mus: np.ndarray, t_end: float) -> SnapshotSet:
     """The LF solves of ``mus``, side by side, to the first LF step at or past ``t_end``."""
     profile = model.provenance.lf_profile
-    steps = int(np.ceil(t_end / profile.dt - 1e-12)) if t_end > 0 else 0
+    steps = int(np.ceil(t_end / profile.dt - 1e-12))
     return solvers.generate_dataset(
         model.provenance.problem, profile, mus, steps * profile.dt
     )

@@ -39,22 +39,18 @@ dealiasing filter is applied. Snapshots are stored at every step, so a run
 over [0, T] yields round(T/dt) + 1 columns. Trajectories are deterministic:
 identical configs give bit-identical output.
 
-``generate_dataset`` runs a sweep at HF sizes as two groups of parameter
-values, one loop on the calling thread and one on a worker thread, when two
-CPUs are usable and the larger group transforms at least 2^14 grid points
-per FFT pass (ceil(n_mu/2) * w * n^2, w = 2 for rd's u, v and 4 for sw's
-psi_x, psi_y, w_x, w_y). Below that size a second thread costs more than it
-gives: a 32^2 sweep took 1.6-2.0x as long on two threads, while a 64^2
-three-mu rd sweep took 0.85x and a 128^2 two-mu sw sweep 0.57x. The bits
-do not change, because each run is bit-identical to its run alone. The
-solver calls only pocketfft and ufuncs, no BLAS, so its two threads never
-multiply BLAS's own. ``solve_rd`` and ``solve_sw`` always run one loop.
+``generate_dataset`` runs a sweep at HF sizes as two loops, one on the
+calling thread and one on a worker thread (``_split`` gives the rule and
+its measurements). The bits do not change, because each run is
+bit-identical to its run alone. The solver calls only pocketfft and
+ufuncs, no BLAS, so its two threads never multiply BLAS's own.
+``solve_rd`` and ``solve_sw`` always run one loop.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from threading import Thread
 from typing import ClassVar
@@ -69,7 +65,7 @@ from .snapshots import FIDELITIES, ParameterGrid, SnapshotSet
 
 # gufunc axes of a 1-D pass along the grid's first axis: input, factor, output
 _COLUMNS = [(-2,), (), (-2,)]
-# grid points per FFT pass from which a sweep's larger half runs on its own thread
+# grid points per FFT pass from which a sweep splits in two loops (``_split``)
 _SPLIT_POINTS = 2**14
 
 
@@ -200,26 +196,18 @@ def solve_poisson(omega: np.ndarray, grid: Grid2D) -> np.ndarray:
 
 
 def _parameter_values(mus) -> np.ndarray:
-    """The parameter values of a sweep as a nonempty 1-D float vector."""
+    """The parameter values of a sweep as a nonempty, finite 1-D float vector."""
     values = np.asarray(mus, dtype=np.float64)
     if values.ndim != 1 or values.size < 1:
         raise ValidationError("parameter values must be a nonempty 1-D vector")
-    return values
-
-
-def _run_values(cfg: _RunChecks, mus) -> np.ndarray:
-    """``cfg.mu`` alone, or each of ``mus`` checked as ``cfg``'s own parameter."""
-    if mus is None:
-        return np.array([cfg.mu], dtype=np.float64)
-    values = _parameter_values(mus)
-    for mu in values:
-        replace(cfg, mu=float(mu))
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValidationError(f"parameter mu must be finite, got mu={values[~finite][0]}")
     return values
 
 
 def _integrate(
-    state_hat: np.ndarray, rhs, buffers, times: np.ndarray, dt: float, data: np.ndarray,
-    stop=None,
+    state_hat: np.ndarray, rhs, buffers, times: np.ndarray, dt: float, data: np.ndarray
 ) -> tuple[int, int] | None:
     """Classical RK4 on a stacked half-spectrum state; one column of ``data`` per step and mu.
 
@@ -240,8 +228,7 @@ def _integrate(
 
     Returns None once every step is stored. A step after which some run's
     state is no longer finite ends the loop and returns (step, i), i the
-    first such run in input order. ``stop(step)``, when given, is asked
-    before each step; a true answer ends the loop and returns None.
+    first such run in input order.
     """
     n_fields, n_mu, n = state_hat.shape[:3]
     # column-major view: data[ix + n*iy + n*n*f, i*n_t + j] is columns[ix, iy, f, j, i]
@@ -251,8 +238,6 @@ def _integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         columns[..., 0, :] = rhs(state_hat, k1, True).transpose(2, 3, 0, 1)
         for step in range(1, times.size):
-            if stop is not None and stop(step):
-                return None
             for k_in, k_out, h in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
                 np.multiply(h, k_in, out=stage)
                 np.add(state_hat, stage, out=stage)
@@ -270,57 +255,45 @@ def _integrate(
     return None
 
 
-def _report(failure: tuple[int, int] | None, times: np.ndarray, mus: np.ndarray) -> None:
-    """Raise ``InstabilityError`` for a run that diverged at (step, index of its mu)."""
-    if failure is not None:
-        step, i = failure
-        raise InstabilityError(
-            f"mu = {mus[i]:g}: solver produced non-finite values at "
-            f"step {step} (t = {times[step]:g}); reduce dt or resolution demands"
-        )
+def _sweep(build, cfg: _RunChecks, mus: np.ndarray, split: int):
+    """Times and snapshot matrix of the runs at ``mus``, split at ``split`` into two RK4 loops.
 
-
-def _sweep(build, cfg: _RunChecks, mus: np.ndarray, groups: list[slice]):
-    """Times and snapshot matrix of the runs at ``mus``, one RK4 loop per group of them.
-
-    ``build(cfg, mus)`` returns the initial half spectrum and right-hand
-    side of the runs at ``mus``. Every group is set up on the calling
-    thread, its RK4 buffers and the snapshot matrix included, so a worker
-    thread's loop allocates nothing that outlives it in its own malloc
-    arena, and the transform plans both loops use are in numpy's plan cache
-    before the worker starts. The first group runs on the calling thread
-    and a second, if any, on a worker thread, each writing into its own
-    column block of the one snapshot matrix. Of the runs that diverge, the
-    earliest step wins and a tie goes to input order, as in one loop; a
-    group stops once a failure of its own could no longer be the one reported.
+    ``mus[:split]`` run on the calling thread and the rest, if any, on a
+    worker thread. ``build(cfg, mus)`` returns the initial half spectrum
+    and right-hand side of the runs at ``mus``. Both groups are set up on
+    the calling thread, their RK4 buffers and the snapshot matrix included,
+    so the worker's loop allocates nothing that outlives it in its own
+    malloc arena, and the transform plans both loops use are in numpy's
+    plan cache before the worker starts. Each loop writes into its own
+    column block of the one snapshot matrix and runs to its end or to its
+    own first divergence, so a diverging split sweep reports once both
+    loops have ended. An exception of a loop is raised again on the calling
+    thread, the first group's first. Of the runs that diverge, the earliest
+    step wins and a tie goes to input order, as in one loop.
     """
     times = time_grid(cfg.T, cfg.dt)
     n_t = times.size
+    groups = [slice(0, split)] + ([slice(split, mus.size)] if split < mus.size else [])
     loops = []
     for group in groups:
         state_hat, rhs = build(cfg, mus[group])
         loops.append((state_hat, rhs, [np.empty_like(state_hat) for _ in range(6)]))
     n_fields, _, n = loops[0][0].shape[:3]
     data = np.empty((n_fields * n * n, mus.size * n_t), order="F")
-    # the earliest (step, index in mus) at which each group diverged, or None,
-    # and any exception of a loop, raised again on the calling thread
-    failures, raised = [None] * len(groups), []
+    # per loop: its first divergence as (step, index in mus), the exception
+    # it raised, or None
+    outcomes = [None] * len(groups)
 
     def run(g):
         group = groups[g]
-
-        def lost(step):  # a failure of this group from ``step`` on cannot be reported
-            return any(f is not None and (step, group.start) > f for f in failures)
-
         try:
             failure = _integrate(*loops[g], times, cfg.dt,
-                                 data[:, group.start * n_t : group.stop * n_t],
-                                 lost if len(groups) > 1 else None)
+                                 data[:, group.start * n_t : group.stop * n_t])
         except Exception as exc:
-            raised.append(exc)
+            outcomes[g] = exc
             return
         if failure is not None:
-            failures[g] = (failure[0], group.start + failure[1])
+            outcomes[g] = (failure[0], group.start + failure[1])
 
     worker = Thread(target=run, args=(1,)) if len(groups) > 1 else None
     if worker is not None:
@@ -330,9 +303,16 @@ def _sweep(build, cfg: _RunChecks, mus: np.ndarray, groups: list[slice]):
     finally:
         if worker is not None:
             worker.join()
-    if raised:
-        raise raised[0]
-    _report(min((f for f in failures if f is not None), default=None), times, mus)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    failures = [outcome for outcome in outcomes if outcome is not None]
+    if failures:
+        step, i = min(failures)
+        raise InstabilityError(
+            f"mu = {mus[i]:g}: solver produced non-finite values at "
+            f"step {step} (t = {times[step]:g}); reduce dt or resolution demands"
+        )
     return times, data
 
 
@@ -348,12 +328,12 @@ def solve_rd(
     Returns (times, data) with data (2*n^2, n_steps+1): each column stacks
     the flattened u field over the flattened v field. ``mus`` runs these
     parameter values in place of ``cfg.mu``, side by side, into consecutive
-    column blocks; each is checked as ``cfg``'s own parameter. ``ic`` and
-    ``include_reaction`` are test hooks (defaults reproduce the benchmark).
+    column blocks. ``ic`` and ``include_reaction`` are test hooks (defaults
+    reproduce the benchmark).
     """
-    mus = _run_values(cfg, mus)
+    mus = _parameter_values([cfg.mu] if mus is None else mus)
     build = partial(_rd_system, ic=ic, include_reaction=include_reaction)
-    return _sweep(build, cfg, mus, [slice(0, mus.size)])
+    return _sweep(build, cfg, mus, mus.size)
 
 
 def _rd_system(cfg: RdConfig, mus: np.ndarray, ic=None, include_reaction: bool = True):
@@ -416,10 +396,10 @@ def solve_sw(
     adds exact spectral diffusion. Returns (times, data) with data
     (n^2, n_steps+1) holding flattened vorticity columns. ``mus`` runs these
     parameter values in place of ``cfg.mu``, side by side, into consecutive
-    column blocks; each is checked as ``cfg``'s own parameter.
+    column blocks.
     """
-    mus = _run_values(cfg, mus)
-    return _sweep(partial(_sw_system, ic=ic), cfg, mus, [slice(0, mus.size)])
+    mus = _parameter_values([cfg.mu] if mus is None else mus)
+    return _sweep(partial(_sw_system, ic=ic), cfg, mus, mus.size)
 
 
 def _sw_system(cfg: SwConfig, mus: np.ndarray, ic: np.ndarray | None = None):
@@ -488,34 +468,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _groups(n_mu: int, points: int) -> list[slice]:
-    """The values of a sweep as one group, or two contiguous ones for two threads.
+def _split(n_mu: int, points: int) -> int:
+    """Index of the first value of a sweep's second loop, or ``n_mu`` for one loop.
 
-    ``points`` is the grid points one value transforms per FFT pass. The
-    sweep splits into ceil(n_mu/2) and floor(n_mu/2) values when two CPUs
-    are usable and the larger group transforms at least ``_SPLIT_POINTS``.
-    """
-    half = -(-n_mu // 2)
-    if n_mu < 2 or half * points < _SPLIT_POINTS or _usable_cpus() < 2:
-        return [slice(0, n_mu)]
-    return [slice(0, half), slice(half, n_mu)]
-
-
-def generate_dataset(
-    problem: str,
-    profile: FidelityProfile,
-    params: ParameterGrid | np.ndarray,
-    T: float,
-) -> SnapshotSet:
-    """Run the solver at every parameter value, in order, into one SnapshotSet.
-
-    Each value is checked as a run parameter, and each trajectory is
-    bit-identical to a run of its value alone. The values advance side by
-    side in one RK4 loop, or, at HF sizes (``_groups``), in two: the first
-    ceil(n_mu/2) values on the calling thread and the rest on a worker
-    thread, each group writing straight into its own column block of the
-    one snapshot matrix (``_sweep``). Time with two threads over time with
-    one loop, one BLAS thread, median of 5 interleaved runs:
+    ``points`` is the grid points one value transforms per FFT pass (the
+    width of ``_problem`` times n^2). The sweep splits into ceil(n_mu/2)
+    and floor(n_mu/2) values when two CPUs are usable and the larger group
+    transforms at least ``_SPLIT_POINTS``. Below that size a second thread
+    costs more than it gives. Time with two threads over time with one
+    loop, one BLAS thread, median of 5 interleaved runs:
 
     ========  ====  ====  ==========
     problem   grid  n_mu  ratio
@@ -530,9 +491,26 @@ def generate_dataset(
     rd        32^2  3     1.97 (one loop)
     sw        32^2  2     1.74 (one loop)
     ========  ====  ====  ==========
+    """
+    half = -(-n_mu // 2)
+    if n_mu < 2 or half * points < _SPLIT_POINTS or _usable_cpus() < 2:
+        return n_mu
+    return half
 
-    A diverging run is named by its parameter value, in the same message
-    on one loop or two.
+
+def generate_dataset(
+    problem: str,
+    profile: FidelityProfile,
+    params: ParameterGrid | np.ndarray,
+    T: float,
+) -> SnapshotSet:
+    """Run the solver at every parameter value, in order, into one SnapshotSet.
+
+    Each trajectory is bit-identical to a run of its value alone. The
+    values advance side by side in one RK4 loop, or, at HF sizes
+    (``_split``), in two loops on two threads (``_sweep``). A diverging run
+    is named by its parameter value, in the same message on one loop or
+    two; on two, it is reported once both loops have ended.
     """
     values = _parameter_values(params.values if isinstance(params, ParameterGrid) else params)
     config, build, field_names, width = _problem(problem)
@@ -540,8 +518,7 @@ def generate_dataset(
     cfg = config(n=profile.n, T=T, mu=float(values[0]), dt=profile.dt, **extra)
     n_dof = len(field_names) * cfg.n**2
     require_size(n_dof * values.size * _step_count(T, profile.dt), "the snapshot matrix")
-    _run_values(cfg, values)
-    times, data = _sweep(build, cfg, values, _groups(values.size, width * cfg.n**2))
+    times, data = _sweep(build, cfg, values, _split(values.size, width * cfg.n**2))
     return SnapshotSet(
         fidelity=profile.fidelity,
         data=data,

@@ -551,6 +551,32 @@ def test_split_sweep_raises_the_worker_exception_on_the_calling_thread(workers, 
     assert len(workers) == 1 and not workers[0].is_alive()
 
 
+@pytest.mark.parametrize("first", ["calling", "worker"])
+def test_split_sweep_raises_the_calling_threads_exception_when_both_loops_fail(
+        workers, monkeypatch, first):
+    # each loop raises its own error, one at once and the other after its
+    # whole run; the calling thread's error surfaces either way
+    integrate = solvers._integrate
+
+    def failing(*args):
+        calling = threading.current_thread() is threading.main_thread()
+        if calling != (first == "calling"):
+            integrate(*args)
+        raise (MemoryError if calling else OverflowError)("the loop failed")
+
+    monkeypatch.setattr(solvers, "_integrate", failing)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            with pytest.raises(MemoryError):
+                generate_dataset("rd", FidelityProfile("HF", 64, 0.05, 0.05),
+                                 np.array([0.5, 1.0, 1.5]), 0.5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(workers) == 3 and not any(worker.is_alive() for worker in workers)
+
+
 @pytest.mark.parametrize("problem, n, mus, cpus", [
     ("rd", 32, [0.5, 1.0, 1.5], {0, 1}),
     ("sw", 32, [1.0, 5.0], {0, 1}),
@@ -582,19 +608,24 @@ def test_split_sweep_writes_into_one_matrix(workers):
     assert peak <= 1.1 * snaps.data.nbytes
 
 
+# the messages the CLI prints for bad parameter values
+BAD_VALUES = [([np.nan], "must be finite"), ([1.0, np.inf], "must be finite"),
+              ([], "nonempty 1-D"), (1.0, "nonempty 1-D"), ([[1.0, 2.0]], "nonempty 1-D")]
+BAD_VALUE_IDS = ["nan", "inf", "empty", "0-d", "2-d"]
+
+
 @pytest.mark.parametrize("solve, cfg", [(solve_rd, RdConfig(n=8, T=0.1, mu=1.0)),
                                         (solve_sw, SwConfig(n=8, T=0.1, mu=1.0))])
-@pytest.mark.parametrize("mus", [[np.nan], [1.0, np.inf], [], 1.0, [[1.0, 2.0]]],
-                         ids=["nan", "inf", "empty", "0-d", "2-d"])
-def test_solver_checks_given_parameter_values(solve, cfg, mus):
+@pytest.mark.parametrize("mus, message", BAD_VALUES, ids=BAD_VALUE_IDS)
+def test_solver_checks_given_parameter_values(solve, cfg, mus, message):
     # values given in place of cfg.mu go through the same rule as cfg.mu
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=message):
         solve(cfg, mus=mus)
 
 
-@pytest.mark.parametrize("mus", [[np.nan], [], [[1.0, 2.0]]], ids=["nan", "empty", "2-d"])
-def test_generate_rejects_bad_parameter_values(mus):
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("mus, message", BAD_VALUES, ids=BAD_VALUE_IDS)
+def test_generate_rejects_bad_parameter_values(mus, message):
+    with pytest.raises(ValidationError, match=message):
         generate_dataset("rd", FidelityProfile("LF", 8, 0.1), np.array(mus), 0.1)
 
 
